@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -75,16 +74,8 @@ def cmd_verify(args) -> int:
         label = args.model_file
     result = analyze(model)
 
-    structure = result.structure
-    if os.environ.get("LIOUV_CORRUPT_A"):
-        # test hook: damage the structure matrix to exercise the exit-3 path
-        A = structure.A.copy()
-        A[0, -1] += 0.1
-        A[-1, 0] -= 0.1
-        structure = dataclasses.replace(structure, A=A)
-
     print(f"verify {label}: n={model.n}")
-    qf = oracle.verify_quadratic_form(model, structure=structure, bath=result.bath)
+    qf = oracle.verify_quadratic_form(model, structure=result.structure, bath=result.bath)
     print(f"  quadratic-form residual: even {qf.residual_even:.3e}, "
           f"odd {qf.residual_odd:.3e}, parity leak {qf.parity_leak:.3e}")
 

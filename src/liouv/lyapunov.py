@@ -1,6 +1,10 @@
 """Continuous Lyapunov equation X^T Z + Z X = M_i for antisymmetric real Z.
 
-The regular path solves the dense vectorized system directly.  When rapidity
+The regular path ("dense") reads Z off the matrix sign function of the block
+matrix H = [[X, 0], [M_i, -X^T]], sign(H) = [[1, 0], [2Z, -1]], computed by the
+scaled Newton iteration (Roberts, Int. J. Control 32 (1980) 677; Byers, Linear
+Algebra Appl. 85 (1987) 267).  It costs O(d^3) time and O(d^2) memory and
+requires Re beta > 0 for every rapidity, so that sign(X) = 1.  When rapidity
 pairs sum to (numerically) zero the system is singular and the solve switches
 to the Jordan basis, where the operator Delta^T (x) 1 + 1 (x) Delta^T is lower
 triangular: forward substitution, with each vanishing diagonal entry checked
@@ -23,6 +27,10 @@ from .rapidity import JordanForm
 
 TOL_LYAP = 1e-8
 TOL_OMEGA = 1e-8
+# sign iteration: step cap, and the relative change of A below which the
+# determinant scaling is switched off to keep the final steps quadratic
+SIGN_MAX_STEPS = 100
+SIGN_UNSCALED_BELOW = 1e-2
 
 
 @dataclass(frozen=True)
@@ -81,6 +89,34 @@ def _delta_diagonal(jf: JordanForm) -> tuple[np.ndarray, np.ndarray]:
     return beta, link
 
 
+def _sign_iteration(X: np.ndarray, M_i: np.ndarray) -> np.ndarray:
+    """Z with X^T Z + Z X = M_i by the coupled Newton iteration for sign(H).
+
+    The iterates keep the block form [[A, 0], [Q, -A^T]]: A <- (cA + A^-1/c)/2
+    and Q <- (cQ + A^-T Q A^-1/c)/2, with the determinant scaling
+    c = |det A|^(-1/d) (through slogdet: det(X) is ~1e98 at n = 32 and
+    overflows near n = 100) until A is close to its limit 1.  Then Z = Q/2.
+    Raises LinAlgError when the step cap is reached first.
+    """
+    d = X.shape[0]
+    tol = 10 * d * np.finfo(float).eps
+    A, Q = X, M_i
+    change = np.inf
+    for _ in range(SIGN_MAX_STEPS):
+        A_inv = np.linalg.inv(A)
+        c = np.exp(-np.linalg.slogdet(A)[1] / d) if change > SIGN_UNSCALED_BELOW else 1.0
+        A_next = (c * A + A_inv / c) / 2
+        Q = (c * Q + A_inv.T @ Q @ A_inv / c) / 2
+        change = np.linalg.norm(A_next - A, 1) / np.linalg.norm(A_next, 1)
+        A = A_next
+        if change <= tol:
+            return Q / 2
+    raise np.linalg.LinAlgError(
+        f"sign iteration did not converge in {SIGN_MAX_STEPS} steps "
+        f"(last relative change {change:.3e})"
+    )
+
+
 def _pair_diagnostics(X, M_i, jf, tol, scale):
     """K and Q matrices certifying solvability at the singular rapidities.
 
@@ -126,9 +162,13 @@ def solve_lyapunov(
 ) -> DrivingSolution:
     """Solve X^T Z + Z X = M_i for real antisymmetric Z.
 
-    method: "auto" picks the dense vectorized solve unless some pair of
-    rapidities sums to ~0 (relative tol * ||X||_2), in which case the
-    Jordan-basis forward substitution is used; "dense"/"jordan" force a path.
+    method: "auto" picks the dense sign-iteration solve (O(d^3) time, O(d^2)
+    memory) unless some pair of rapidities sums to ~0 (relative
+    tol * ||X||_2), in which case the Jordan-basis forward substitution is
+    used; "dense"/"jordan" force a path.  The dense path needs Re beta > 0 for
+    every rapidity (guaranteed in the pipeline once the stability check has
+    passed and the singular pairs have been routed to the Jordan path); it
+    raises LinAlgError when that fails or the iteration does not converge.
     The Jordan path zeroes every free coefficient, counts the independent ones
     (unordered off-diagonal pairs), and verifies the omega conditions.
     """
@@ -148,9 +188,11 @@ def solve_lyapunov(
         )
 
     if method == "dense":
-        op = np.kron(X.T, np.eye(d)) + np.kron(np.eye(d), X.T)
-        z = np.linalg.solve(op, M_i.reshape(-1))
-        Z_raw = z.reshape(d, d)
+        if (beta.real <= 0).any():
+            raise np.linalg.LinAlgError(
+                "dense path requested but a rapidity has Re beta <= 0"
+            )
+        Z_raw = _sign_iteration(X, M_i)
         asym = float(np.abs(Z_raw + Z_raw.T).max())
         Z = (Z_raw - Z_raw.T) / 2
         Z.setflags(write=False)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BuildInvariantViolated, DimensionMismatch, NotAntisymmetric
+from .errors import BuildInvariantViolated, DimensionMismatch, InputError, NotAntisymmetric
 
 TOL_INPUT = 1e-10
 TOL_BUILD = 1e-12
@@ -62,10 +62,11 @@ def validate_model(
     lindblad_vectors,
     tol_input: float = TOL_INPUT,
 ) -> QuadraticLindbladModel:
-    """Check shapes and antisymmetry; return the model with K antisymmetrized.
+    """Check shapes, finiteness and antisymmetry; return the model with K
+    antisymmetrized.
 
-    tol_input is relative to max|K|.  Raises DimensionMismatch or
-    NotAntisymmetric on bad input.
+    tol_input is relative to max|K|.  Raises DimensionMismatch,
+    NotAntisymmetric or InputError (NaN or infinite entries) on bad input.
     """
     if n < 1:
         raise DimensionMismatch(f"n must be a positive integer, got {n}")
@@ -73,6 +74,8 @@ def validate_model(
     d = 2 * n
     if K.shape != (d, d):
         raise DimensionMismatch(f"K must be {d}x{d}, got {K.shape}")
+    if not np.isfinite(K).all():
+        raise InputError("K has a NaN or infinite entry")
     scale = max(np.abs(K).max(), 1.0)
     asym = np.abs(K + K.T).max()
     if asym > tol_input * scale:
@@ -86,6 +89,8 @@ def validate_model(
             raise DimensionMismatch(
                 f"Lindblad vector {mu} must have length {d}, got shape {l.shape}"
             )
+        if not np.isfinite(l).all():
+            raise InputError(f"Lindblad vector {mu} has a NaN or infinite entry")
         vectors.append(_frozen(l))
     return QuadraticLindbladModel(n, _frozen((K - K.T) / 2), tuple(vectors))
 

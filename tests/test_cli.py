@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
+import liouv.cli
 from liouv.cli import main
 from liouv.io import load_model, parse_model_dict
 from liouv.errors import ParseError
@@ -103,6 +105,18 @@ def test_analyze_bad_model_exit_2(tmp_path, capsys):
     assert main(["analyze", str(bad)]) == 2
 
 
+def test_analyze_non_finite_model_exit_2(tmp_path):
+    # json.loads accepts NaN and Infinity; validation must reject them
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"n": 1, "K": [[0, NaN], [0, 0]], "lindblad": [[1, 0]]}')
+    res = run_cli(["analyze", str(bad)])
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "NaN or infinite" in res.stderr
+    bad.write_text('{"n": 1, "K": [[0, 0], [0, 0]], "lindblad": [[Infinity, 0]]}')
+    assert main(["analyze", str(bad)]) == 2
+
+
 def test_analyze_parse_error_has_field(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 1, "K": [[0, 0], [0, 0]], "lindblad": [[1]]}))
@@ -123,10 +137,21 @@ def test_verify_bundled_and_random(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_verify_corrupt_hook_exit_3():
-    res = run_cli(["verify", model_path("ising_pair.json")], env={"LIOUV_CORRUPT_A": "1"})
-    assert res.returncode == 3
-    assert "FAIL" in res.stdout
+def test_verify_corrupt_hook_exit_3(monkeypatch, capsys):
+    real_analyze = liouv.cli.analyze
+
+    def corrupted_analyze(*args, **kwargs):
+        # damage the structure matrix to exercise the exit-3 path
+        result = real_analyze(*args, **kwargs)
+        A = result.structure.A.copy()
+        A[0, -1] += 0.1
+        A[-1, 0] -= 0.1
+        structure = dataclasses.replace(result.structure, A=A)
+        return dataclasses.replace(result, structure=structure)
+
+    monkeypatch.setattr(liouv.cli, "analyze", corrupted_analyze)
+    assert main(["verify", model_path("ising_pair.json")]) == 3
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_verify_nmax_exceeded_exit_2():

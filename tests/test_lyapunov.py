@@ -1,15 +1,19 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
+import liouv.lyapunov
 from liouv.errors import InconsistentSingularSystem, NontrivialImaginaryBlock
 from liouv.lyapunov import lyapunov_residual, solve_lyapunov
 from liouv.model import build_bath_matrices, build_X, validate_model
 from liouv.randmodel import random_axis_model, random_model
 from liouv.rapidity import jordan_decompose, stability_check
 
-from conftest import GAMMA_M, GAMMA_P, J_COUPLING, ising_pair_model
+from conftest import GAMMA_M, GAMMA_P, J_COUPLING, ising_pair_model, single_qubit_model
 
 
 def closed_form_Z(gp=GAMMA_P, gm=GAMMA_M, j=J_COUPLING):
@@ -164,3 +168,67 @@ def test_dense_path_refuses_singular_operator():
     bath, X, jf = stage(ising_pair_model())
     with pytest.raises(np.linalg.LinAlgError):
         solve_lyapunov(X, bath.M_i, jf, method="dense")
+
+
+def relative_residual(X, Z, M_i):
+    R = X.T @ Z + Z @ X - M_i
+    scale = 2 * np.linalg.norm(X) * np.linalg.norm(Z) + np.linalg.norm(M_i)
+    return np.linalg.norm(R) / scale
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dense_sign_iteration_at_n32(seed):
+    # d = 64, where det(X) is already ~1e98
+    m = random_model(32, seed=seed)
+    bath, X, jf = stage(m)
+    dense = solve_lyapunov(X, bath.M_i, jf, method="dense")
+    jordan = solve_lyapunov(X, bath.M_i, jf, method="jordan")
+    assert dense.method == "dense"
+    assert np.abs(dense.Z - jordan.Z).max() <= 1e-10 * np.abs(jordan.Z).max()
+    assert relative_residual(X, dense.Z, bath.M_i) <= 1e-14
+    # (sX)^T Z + Z (sX) = s M_i has the same Z; det(sX) overflows to inf
+    s = 1e5
+    assert np.linalg.slogdet(s * X)[1] > np.log(np.finfo(float).max)
+    scaled = solve_lyapunov(s * X, s * bath.M_i, jordan_decompose(s * X), method="dense")
+    assert np.abs(scaled.Z - dense.Z).max() <= 1e-12 * np.abs(dense.Z).max()
+
+
+@pytest.mark.parametrize("dh", [0.0, 1e-12])
+def test_dense_defective_qubit_closed_form(dh):
+    # at h* = G cos(theta) X is a single 2x2 Jordan block; for 2x2 matrices
+    # X^T E + E X = tr(X) E with E = [[0, 1], [-1, 0]], so Z = M_i / tr(X)
+    m = single_qubit_model(h=np.cos(np.pi / 3) + dh)
+    bath, X, jf = stage(m)
+    ds = solve_lyapunov(X, bath.M_i, jf, method="dense")
+    assert ds.method == "dense"
+    np.testing.assert_allclose(ds.Z, bath.M_i / np.trace(X), rtol=0, atol=1e-15)
+    assert relative_residual(X, ds.Z, bath.M_i) <= 1e-15
+
+
+def test_dense_path_refuses_unstable_rapidity():
+    # rapidities 1 and -2: no pair sums to zero, but sign(X) != 1
+    X = np.diag([1.0, -2.0])
+    M_i = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    jf = jordan_decompose(X)
+    with pytest.raises(np.linalg.LinAlgError, match="Re beta"):
+        solve_lyapunov(X, M_i, jf, method="dense")
+
+
+def test_dense_path_refuses_unconverged_iteration(monkeypatch):
+    bath, X, jf = stage(random_model(3, seed=0))
+    monkeypatch.setattr(liouv.lyapunov, "SIGN_MAX_STEPS", 2)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        solve_lyapunov(X, bath.M_i, jf, method="dense")
+
+
+def test_dense_path_does_not_load_scipy_linalg():
+    code = (
+        "import sys\n"
+        "from liouv.analysis import analyze\n"
+        "from liouv.randmodel import random_model\n"
+        "assert analyze(random_model(3, 0)).driving.method == 'dense'\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
