@@ -8,11 +8,12 @@ human-readable table view.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import SpectrumTooLarge
+from .errors import InputError, SpectrumTooLarge
 from .lyapunov import DrivingSolution, solve_lyapunov
 from .model import (
     BathMatrices,
@@ -63,6 +64,22 @@ class Tolerances:
     tol_normal: float = 1e-8
     tol_merge: float = 1e-8
     spectrum_limit: int = 10**6
+
+    def __post_init__(self):
+        """Reject what would make a tolerance comparison meaningless: NaN,
+        infinities, non-positive values and booleans; the limit must be a
+        positive integer.  Model files and CLI flags both arrive here."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "spectrum_limit":
+                ok = isinstance(value, int) and not isinstance(value, bool) and value > 0
+                expected = "a positive integer"
+            else:
+                ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                      and math.isfinite(value) and value > 0)
+                expected = "a finite positive number"
+            if not ok:
+                raise InputError(f"tolerance '{f.name}': expected {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -220,30 +237,43 @@ def build_report(result: AnalysisResult, full_spectrum: bool = False) -> dict:
     if r.spectrum is None:
         report["spectrum"] = {"enumerated": False, "extremes": extremes}
     else:
+        s = r.spectrum
         spec = {
             "enumerated": True,
             "extremes": extremes,
-            "count": len(r.spectrum.entries),
-            "total_dim": int(r.spectrum.total_dim),
+            "count": len(s.entries),
+            "total_dim": int(s.total_dim),
             "merged": [
                 {
-                    "lambda": _c(e.lam),
-                    "total_dim": int(e.total_dim),
-                    "max_jordan_block": int(e.max_jordan_block),
-                    "lower_bound": bool(e.lower_bound),
+                    "lambda": [re, im],
+                    "total_dim": dim,
+                    "max_jordan_block": blk,
+                    "lower_bound": contributors > 1,
                 }
-                for e in r.spectrum.merged
+                for re, im, dim, blk, contributors in zip(
+                    s.merged_lam.real.tolist(),
+                    s.merged_lam.imag.tolist(),
+                    s.merged_dim.tolist(),
+                    s.merged_block.tolist(),
+                    s.contributors.tolist(),
+                )
             ],
         }
         if full_spectrum:
             spec["entries"] = [
                 {
-                    "lambda": _c(e.lam),
-                    "occupation": [[int(j), int(k), int(m)] for (j, k), m in e.occupation],
-                    "subspace_dim": int(e.subspace_dim),
-                    "max_jordan_block": int(e.max_jordan_block),
+                    "lambda": [re, im],
+                    "occupation": [[j, k, m] for (j, k), m in zip(s.labels, occ)],
+                    "subspace_dim": dim,
+                    "max_jordan_block": blk,
                 }
-                for e in r.spectrum.entries
+                for re, im, occ, dim, blk in zip(
+                    s.lam.real.tolist(),
+                    s.lam.imag.tolist(),
+                    s.occupations().tolist(),
+                    s.subspace_dim.tolist(),
+                    s.max_jordan_block.tolist(),
+                )
             ]
         report["spectrum"] = spec
     return report

@@ -62,8 +62,6 @@ def parse_model_dict(doc: dict) -> tuple[QuadraticLindbladModel, Tolerances]:
     for key, value in tol_doc.items():
         if key not in known:
             raise ParseError(f"field 'tolerances.{key}': unknown tolerance")
-        if not isinstance(value, (int, float)):
-            raise ParseError(f"field 'tolerances.{key}': expected a number")
         tol_kwargs[key] = value
     tolerances = Tolerances(**tol_kwargs)
     model = validate_model(n, K_arr, vectors, tolerances.tol_input)

@@ -6,12 +6,20 @@ prod C(l_{j,k}, m_{j,k}) and its largest Jordan block is
 1 + sum (l_{j,k} - m_{j,k}) m_{j,k}.  The NESS is unique iff every rapidity
 has a strictly positive real part; otherwise the zero and imaginary rapidities
 generate Hermitian trace-zero stationary directions.
+
+The enumeration is held as arrays over the occupation grid: eigenvalue,
+dimension and block bound per occupation vector in sort order, and the same
+per merged group.  `SpectrumEnumeration.entries` and `.merged` are read-only
+sequence views that build a LiouvilleanEigenvalue / MergedEigenvalue only for
+the index asked for.  The arrays hold the very floats the scalar formulas
+give: sums run in the same order, and magnitudes use hypot as Python's
+abs(complex) does.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,11 +61,87 @@ class MergedEigenvalue:
     lower_bound: bool
 
 
+class _RecordView(Sequence):
+    """Read-only sequence of `count` records, record i built by `make(i)` on access."""
+
+    def __init__(self, count: int, make: Callable[[int], object]):
+        self._count = count
+        self._make = make
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self._make, range(*index.indices(self._count))))
+        i = index + self._count if index < 0 else index
+        if not 0 <= i < self._count:
+            raise IndexError("spectrum index out of range")
+        return self._make(i)
+
+    def __iter__(self):
+        return map(self._make, range(self._count))
+
+
 @dataclass(frozen=True)
 class SpectrumEnumeration:
-    entries: tuple[LiouvilleanEigenvalue, ...]
-    merged: tuple[MergedEigenvalue, ...]
+    """The spectrum as arrays, per occupation vector and per merged group.
+
+    Entries are sorted by (Re lam, Im lam, occupation).  index holds each
+    entry's flat position in the occupation grid `shape` (itertools.product
+    order over the blocks, labelled (j, k) by `labels`).  Dimensions are int64
+    while 4^n < 2^63 and exact Python ints (dtype object) beyond.  Merged
+    groups are runs of sorted entries whose consecutive eigenvalues lie within
+    the merge tolerance; merged_lam is their dimension-weighted mean.
+    """
+
+    labels: tuple[tuple[int, int], ...]
+    shape: tuple[int, ...]
+    index: np.ndarray
+    lam: np.ndarray
+    subspace_dim: np.ndarray
+    max_jordan_block: np.ndarray
+    merged_lam: np.ndarray
+    merged_dim: np.ndarray
+    merged_block: np.ndarray
+    contributors: np.ndarray
     total_dim: int
+
+    def occupations(self) -> np.ndarray:
+        """Occupation numbers of the sorted entries, one column per block."""
+        return np.stack(np.unravel_index(self.index, self.shape), axis=-1)
+
+    @property
+    def entries(self) -> Sequence[LiouvilleanEigenvalue]:
+        return _RecordView(len(self.lam), self._entry)
+
+    @property
+    def merged(self) -> Sequence[MergedEigenvalue]:
+        return _RecordView(len(self.merged_lam), self._merged)
+
+    def _entry(self, i: int) -> LiouvilleanEigenvalue:
+        occupation = map(int, np.unravel_index(self.index[i], self.shape))
+        return LiouvilleanEigenvalue(
+            lam=complex(self.lam[i]),
+            occupation=tuple(zip(self.labels, occupation)),
+            subspace_dim=int(self.subspace_dim[i]),
+            max_jordan_block=int(self.max_jordan_block[i]),
+        )
+
+    def _merged(self, g: int) -> MergedEigenvalue:
+        contributors = int(self.contributors[g])
+        return MergedEigenvalue(
+            lam=complex(self.merged_lam[g]),
+            total_dim=int(self.merged_dim[g]),
+            max_jordan_block=int(self.merged_block[g]),
+            contributors=contributors,
+            lower_bound=contributors > 1,
+        )
+
+
+def _hypot(z: np.ndarray) -> np.ndarray:
+    """|z| rounded as Python's abs(complex) rounds it (np.abs can differ by an ulp)."""
+    return np.hypot(z.real, z.imag)
 
 
 def enumerate_spectrum(
@@ -71,53 +155,73 @@ def enumerate_spectrum(
     stationary dimension remain available without full enumeration.
     """
     blocks = jf.blocks
-    count = math.prod(b.size + 1 for b in blocks)
+    shape = tuple(b.size + 1 for b in blocks)
+    count = math.prod(shape)
     if count > limit:
         raise SpectrumTooLarge(
             f"{count} occupation vectors exceed the limit {limit}"
         )
     n2 = jf.dim
-    entries = []
-    for occ in itertools.product(*(range(b.size + 1) for b in blocks)):
-        lam = -2 * sum(m * b.rapidity for m, b in zip(occ, blocks))
-        dim = math.prod(math.comb(b.size, m) for m, b in zip(occ, blocks))
-        blk = 1 + sum((b.size - m) * m for m, b in zip(occ, blocks))
-        entries.append(
-            LiouvilleanEigenvalue(
-                lam=complex(lam),
-                occupation=tuple(((b.j, b.k), m) for b, m in zip(blocks, occ)),
-                subspace_dim=dim,
-                max_jordan_block=blk,
-            )
-        )
-    entries.sort(key=lambda e: (e.lam.real, e.lam.imag, tuple(m for _, m in e.occupation)))
-    total = sum(e.subspace_dim for e in entries)
+    # every dimension is at most 2^(2n), so int64 is exact only below 2^63
+    int_type = np.int64 if n2 < 63 else object
+    # one block axis at a time: lam = -2 (((0 + m_1 beta_1) + m_2 beta_2) + ...),
+    # the float operations of the scalar sum, on the grid in product order
+    lam = np.zeros((), complex)
+    dim = np.ones((), int_type)
+    blk = np.ones((), np.int64)
+    for b in blocks:
+        m = np.arange(b.size + 1)
+        comb = np.array([math.comb(b.size, k) for k in range(b.size + 1)], dtype=int_type)
+        lam = lam[..., None] + m * complex(b.rapidity)
+        dim = dim[..., None] * comb
+        blk = blk[..., None] + (b.size - m) * m
+    lam = -2 * lam.ravel()
+    # lexsort is stable, so ties keep grid order, which is occupation order
+    order = np.lexsort((lam.imag, lam.real))
+    lam = lam[order]
+    dim = dim.ravel()[order]
+    blk = blk.ravel()[order]
+    total = int(dim.sum())
     if total != 2**n2:
         raise AssertionError("dimension sum rule violated")  # unreachable
 
-    scale = max((abs(e.lam) for e in entries), default=0.0)
+    scale = float(_hypot(lam).max(initial=0.0))
     tol = tol_merge * max(scale, 1.0)
-    merged = []
-    group: list[LiouvilleanEigenvalue] = []
-    for e in entries:
-        if group and abs(e.lam - group[-1].lam) > tol:
-            merged.append(_merge(group))
-            group = []
-        group.append(e)
-    if group:
-        merged.append(_merge(group))
-    return SpectrumEnumeration(tuple(entries), tuple(merged), total)
-
-
-def _merge(group: list[LiouvilleanEigenvalue]) -> MergedEigenvalue:
-    lam = sum(e.lam * e.subspace_dim for e in group) / sum(e.subspace_dim for e in group)
-    return MergedEigenvalue(
+    starts = np.flatnonzero(np.concatenate(([True], _hypot(np.diff(lam)) > tol)))
+    ends = np.append(starts[1:], len(lam))
+    merged_dim = np.add.reduceat(dim, starts)
+    merged_lam = _weighted_means(lam, dim, starts, ends, merged_dim)
+    return SpectrumEnumeration(
+        labels=tuple((b.j, b.k) for b in blocks),
+        shape=shape,
+        index=order,
         lam=lam,
-        total_dim=sum(e.subspace_dim for e in group),
-        max_jordan_block=max(e.max_jordan_block for e in group),
-        contributors=len(group),
-        lower_bound=len(group) > 1,
+        subspace_dim=dim,
+        max_jordan_block=blk,
+        merged_lam=merged_lam,
+        merged_dim=merged_dim,
+        merged_block=np.maximum.reduceat(blk, starts),
+        contributors=ends - starts,
+        total_dim=total,
     )
+
+
+def _weighted_means(lam, dim, starts, ends, total) -> np.ndarray:
+    """sum(lam * dim) / sum(dim) per group [start, end), rounded as in Python.
+
+    The sum runs left to right from 0 (builtin sum; numpy's sum and reduceat
+    sum pairwise), and the division is Python's complex / int, which computes
+    (re + im 0) / d and (im - re 0) / d; numpy's complex division rounds
+    differently.
+    """
+    weighted = lam * dim.astype(float)
+    sums = weighted[starts] + 0j  # a group of one: 0 + w
+    for g in np.flatnonzero(ends - starts > 1):
+        sums[g] = sum(weighted[starts[g]:ends[g]].tolist())
+    d = total.astype(float)
+    means = ((sums.real + sums.imag * 0.0) / d).astype(complex)
+    means.imag = (sums.imag - sums.real * 0.0) / d
+    return means
 
 
 @dataclass(frozen=True)
@@ -150,7 +254,8 @@ def classify_ness(
 
     stationary_dim counts occupation vectors with lambda_m = 0, enumerated
     over the zero/imaginary rapidities only (all their blocks are trivial, so
-    occupations are 0/1); strictly stable modes must stay empty.
+    occupations are 0/1); strictly stable modes must stay empty.  The 2^k
+    subset sums are built by doubling, one axis mode at a time.
     """
     report = stability if stability is not None else stability_check(jf, tol)
     zero_modes = []
@@ -180,11 +285,13 @@ def classify_ness(
             f"{len(axis_betas)} axis modes exceed the stationary-dim enumeration cap"
         )
     scale = max(jf.x_norm, 1.0)
-    stationary = 0
-    for bits in itertools.product((0, 1), repeat=len(axis_betas)):
-        s = sum(m * b for m, b in zip(bits, axis_betas))
-        if abs(s) <= tol * scale:
-            stationary += 1
+    # sums[i] adds the betas of the set bits of i in list order, as the
+    # subset loop over occupations would
+    sums = np.zeros(2 ** len(axis_betas), complex)
+    for bit, beta in enumerate(axis_betas):
+        half = 2**bit
+        sums[half:2 * half] = sums[:half] + complex(beta)
+    stationary = int(np.count_nonzero(_hypot(sums) <= tol * scale))
 
     return NessReport(
         unique=report.all_strictly_stable,

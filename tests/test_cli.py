@@ -130,6 +130,51 @@ def test_parse_rejects_unknown_tolerance():
         parse_model_dict(doc)
 
 
+@pytest.mark.parametrize("tolerances", [
+    {"tol_merge": float("nan")},  # used to merge ising_chain_3 into one group, exit 0
+    {"tol_cluster": float("nan")},  # used to exit 3
+    {"tol_stability": -1},  # used to exit 3
+    {"tol_rank": 0},
+    {"tol_psd": float("inf")},
+    {"tol_merge": True},
+    {"tol_lyap": "1e-8"},
+    {"spectrum_limit": 2.5},
+    {"spectrum_limit": 0},
+    {"spectrum_limit": False},
+])
+def test_analyze_bad_model_tolerance_exit_2(tmp_path, capsys, tolerances):
+    doc = json.loads((MODELS / "ising_chain_3.json").read_text())
+    doc["tolerances"] = tolerances
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))  # writes NaN / Infinity, which json.loads accepts
+    assert main(["analyze", str(path), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"tolerance '{next(iter(tolerances))}'" in captured.err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tol-rank", "inf"],  # used to exit 3
+    ["--tol-merge", "nan"],
+    ["--tol-cluster=-1e-7"],
+    ["--tol-stability", "0"],
+    ["--limit", "0"],
+    ["--limit=-5"],
+])
+def test_analyze_bad_tolerance_flag_exit_2(capsys, flags):
+    assert main(["analyze", model_path("ising_pair.json"), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tolerance")
+
+
+def test_model_tolerances_accept_positive_numbers():
+    doc = {"n": 1, "K": [[0, 0], [0, 0]], "lindblad": [[1, 0]],
+           "tolerances": {"tol_merge": 1, "tol_rank": 1e-6, "spectrum_limit": 50}}
+    _, tolerances = parse_model_dict(doc)
+    assert (tolerances.tol_merge, tolerances.tol_rank, tolerances.spectrum_limit) == (1, 1e-6, 50)
+
+
 def test_verify_bundled_and_random(capsys):
     assert main(["verify", model_path("ising_pair.json")]) == 0
     assert "PASS" in capsys.readouterr().out

@@ -1,3 +1,10 @@
+import dataclasses
+import itertools
+import json
+import math
+import struct
+from importlib.resources import files
+
 import numpy as np
 import pytest
 
@@ -218,3 +225,182 @@ def test_stationary_dim_counts_accidental_cancellations():
     report = classify_ness(jf)
     # subsets with balanced imaginary parts: {}, both pairs, each pair alone
     assert report.stationary_dim == 4
+
+
+# --- array enumeration against the per-occupation reference -----------------
+
+
+def reference_enumeration(jf, tol_merge=1e-8):
+    """The per-occupation loop the array enumeration replaced, its arithmetic
+    kept verbatim as the reference: one record per occupation vector, sorted,
+    then merged."""
+    blocks = jf.blocks
+    entries = []
+    for occ in itertools.product(*(range(b.size + 1) for b in blocks)):
+        lam = -2 * sum(m * b.rapidity for m, b in zip(occ, blocks))
+        dim = math.prod(math.comb(b.size, m) for m, b in zip(occ, blocks))
+        blk = 1 + sum((b.size - m) * m for m, b in zip(occ, blocks))
+        entries.append(
+            (complex(lam), tuple(((b.j, b.k), m) for b, m in zip(blocks, occ)), dim, blk)
+        )
+    entries.sort(key=lambda e: (e[0].real, e[0].imag, tuple(m for _, m in e[1])))
+
+    scale = max((abs(e[0]) for e in entries), default=0.0)
+    tol = tol_merge * max(scale, 1.0)
+    merged = []
+    group = []
+
+    def merge(group):
+        lam = sum(e[0] * e[2] for e in group) / sum(e[2] for e in group)
+        return (lam, sum(e[2] for e in group), max(e[3] for e in group),
+                len(group), len(group) > 1)
+
+    for e in entries:
+        if group and abs(e[0] - group[-1][0]) > tol:
+            merged.append(merge(group))
+            group = []
+        group.append(e)
+    if group:
+        merged.append(merge(group))
+    return entries, merged
+
+
+def _bits(z):
+    """A complex number as its two IEEE doubles, so signed zeros count."""
+    return struct.pack("<d", z.real) + struct.pack("<d", z.imag)
+
+
+def assert_same_as_reference(jf):
+    ref_entries, ref_merged = reference_enumeration(jf)
+    spec = enumerate_spectrum(jf)
+    # the arrays, as the report reads them
+    got = list(zip(map(_bits, spec.lam.tolist()), spec.occupations().tolist(),
+                   spec.subspace_dim.tolist(), spec.max_jordan_block.tolist()))
+    assert got == [(_bits(lam), [m for _, m in occ], dim, blk)
+                   for lam, occ, dim, blk in ref_entries]
+    assert spec.labels == tuple(jk for jk, _ in ref_entries[0][1])
+    # the record views, on a spread of entries and on every merged group
+    step = max(1, len(ref_entries) // 200)
+    for i in range(0, len(ref_entries), step):
+        e = spec.entries[i]
+        lam, occ, dim, blk = ref_entries[i]
+        assert (_bits(e.lam), e.occupation, e.subspace_dim, e.max_jordan_block) == (
+            _bits(lam), occ, dim, blk)
+    got = [(_bits(e.lam), e.total_dim, e.max_jordan_block, e.contributors, e.lower_bound)
+           for e in spec.merged]
+    assert got == [(_bits(lam), *rest) for lam, *rest in ref_merged]
+
+
+def rotated_critical_qubits(copies, seed, theta=np.pi / 3):
+    """`copies` single qubits at the defective point h* = cos(theta) on the block
+    diagonal, rotated by a random orthogonal matrix: one rapidity, `copies`
+    Jordan 2-blocks, and eigenvalues that collide across occupations."""
+    from liouv.model import validate_model
+
+    d = 2 * copies
+    K = np.zeros((d, d))
+    vectors = []
+    for c in range(copies):
+        K[2 * c, 2 * c + 1], K[2 * c + 1, 2 * c] = np.cos(theta), -np.cos(theta)
+        v = np.zeros(d, dtype=complex)
+        v[2 * c], v[2 * c + 1] = 1.0, np.exp(1j * theta)
+        vectors.append(v)
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    O = q * np.sign(np.diag(r))
+    return validate_model(copies, O @ K @ O.T, [O @ v for v in vectors])
+
+
+@pytest.mark.parametrize("name", ["single_qubit", "ising_pair", "ising_chain_3"])
+def test_array_enumeration_matches_reference_bundled(name):
+    from liouv.io import load_model
+
+    model, _ = load_model(files("liouv") / "models" / f"{name}.json")
+    assert_same_as_reference(jordan_of(model)[2])
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_array_enumeration_matches_reference_random(seed):
+    assert_same_as_reference(jordan_of(random_model(1 + seed % 8, seed))[2])
+
+
+@pytest.mark.parametrize("n, seed, decoupled",
+                         [(2, 5, 2), (3, 5, 3), (4, 1, 4), (5, 2, 5), (6, 3, 6)])
+def test_array_enumeration_matches_reference_axis(n, seed, decoupled):
+    assert_same_as_reference(jordan_of(random_axis_model(n, seed, decoupled))[2])
+
+
+def test_array_enumeration_matches_reference_rotated_critical_qubits():
+    _, _, jf = jordan_of(rotated_critical_qubits(10, seed=3))
+    assert [b.size for b in jf.blocks] == [2] * 10
+    assert_same_as_reference(jf)
+
+
+def test_dimensions_past_int64_stay_exact():
+    # one 70-block: 4^35 = 2^70 overflows int64, so dims are Python ints
+    from liouv.analysis import analyze, build_report
+    from liouv.rapidity import JordanBlockDescriptor, JordanForm
+
+    blocks = (JordanBlockDescriptor(1.0 + 0j, 70, 0, 1, 1),)
+    P = np.eye(70, dtype=complex)
+    jf = JordanForm(P, P, blocks, ((0, 0),), 1.0, 1.0, 0.0, False)
+    spec = enumerate_spectrum(jf)
+    assert spec.total_dim == 2**70
+    assert [e.subspace_dim for e in spec.entries] == [math.comb(70, m) for m in range(70, -1, -1)]
+    assert all(type(e.subspace_dim) is int for e in spec.entries)
+    assert all(type(e.total_dim) is int for e in spec.merged)
+    assert sum(e.total_dim for e in spec.merged) == 2**70
+
+    result = dataclasses.replace(analyze(single_qubit_model()), spectrum=spec)
+    report = json.loads(json.dumps(build_report(result, full_spectrum=True)))["spectrum"]
+    # json writes a float dimension with an exponent and reads it back as a float
+    assert type(report["total_dim"]) is int and report["total_dim"] == 2**70
+    assert all(type(e["total_dim"]) is int for e in report["merged"])
+    assert all(type(e["subspace_dim"]) is int for e in report["entries"])
+    dims = [math.comb(70, m) for m in range(70, -1, -1)]
+    assert [e["total_dim"] for e in report["merged"]] == dims
+    assert [e["subspace_dim"] for e in report["entries"]] == dims
+
+
+def reference_stationary_dim(jf, tol=1e-8):
+    """The subset loop the doubling count replaced: every 0/1 occupation of the
+    axis modes, summed in block order."""
+    from liouv.rapidity import stability_check
+
+    report = stability_check(jf, tol)
+    axis_betas = []
+    for cls in report.classes:
+        count = sum(1 for b in jf.blocks if b.j == cls.j)
+        if cls.kind == "zero":
+            axis_betas.extend([0.0 + 0.0j] * count)
+        elif cls.kind == "imaginary":
+            axis_betas.extend([cls.rapidity] * count)
+    scale = max(jf.x_norm, 1.0)
+    stationary = 0
+    for bits in itertools.product((0, 1), repeat=len(axis_betas)):
+        s = sum(m * b for m, b in zip(bits, axis_betas))
+        if abs(s) <= tol * scale:
+            stationary += 1
+    return stationary, len(axis_betas)
+
+
+@pytest.mark.parametrize("n, seed, decoupled",
+                         [(2, 5, 2), (3, 5, 3), (5, 7, 7), (8, 4, 12), (9, 2, 16)])
+def test_stationary_count_matches_subset_loop(n, seed, decoupled):
+    _, _, jf = jordan_of(random_axis_model(n, seed, decoupled))
+    expected, modes = reference_stationary_dim(jf)
+    assert modes == decoupled
+    assert classify_ness(jf).stationary_dim == expected
+
+
+def test_entry_views_index_like_iteration():
+    _, _, jf = jordan_of(random_model(3, seed=2))
+    spec = enumerate_spectrum(jf)
+    assert len(spec.entries) == np.prod([b.size + 1 for b in jf.blocks])
+    entries = list(spec.entries)
+    assert len(entries) == len(spec.entries)
+    assert [spec.entries[i] for i in range(len(entries))] == entries
+    assert spec.entries[-1] == entries[-1]
+    assert spec.entries[1:4] == tuple(entries[1:4])
+    with pytest.raises(IndexError):
+        spec.entries[len(entries)]
+    assert [spec.merged[i] for i in range(len(spec.merged))] == list(spec.merged)
