@@ -75,20 +75,6 @@ def lyapunov_residual(X: np.ndarray, Z: np.ndarray, M_i: np.ndarray) -> float:
     return float(np.abs(X.T @ Z + Z @ X - M_i).max())
 
 
-def _delta_diagonal(jf: JordanForm) -> tuple[np.ndarray, np.ndarray]:
-    """Per-position rapidity along the diagonal of Delta, and the chain links:
-    link[i] True when Delta[i-1, i] = 1 (position i continues a chain)."""
-    d = jf.dim
-    beta = np.zeros(d, dtype=complex)
-    link = np.zeros(d, dtype=bool)
-    for b in jf.blocks:
-        for i in range(b.size):
-            beta[b.chain_start + i] = b.rapidity
-            if i > 0:
-                link[b.chain_start + i] = True
-    return beta, link
-
-
 def _sign_iteration(X: np.ndarray, M_i: np.ndarray) -> np.ndarray:
     """Z with X^T Z + Z X = M_i by the coupled Newton iteration for sign(H).
 
@@ -176,9 +162,13 @@ def solve_lyapunov(
     M_i = np.asarray(M_i, dtype=float)
     d = X.shape[0]
     scale = max(jf.x_norm, np.finfo(float).tiny)
-    beta, link = _delta_diagonal(jf)
-    sums = np.abs(beta[:, None] + beta[None, :])
-    has_singular_pair = bool((sums <= tol * scale).any())
+    # rapidity at each position of Delta's diagonal; link[i] when Delta[i-1, i] = 1
+    delta = jf.delta()
+    beta = np.diagonal(delta)
+    link = np.concatenate(([False], np.diagonal(delta, 1) != 0))
+    denoms = beta[:, None] + beta[None, :]
+    regular = np.hypot(denoms.real, denoms.imag) > tol * scale
+    has_singular_pair = not regular.all()
 
     if method == "auto":
         method = "jordan" if has_singular_pair else "dense"
@@ -210,36 +200,46 @@ def solve_lyapunov(
     # Jordan-basis path
     F = jf.P.T @ M_i @ jf.P
     f_scale = max(np.abs(F).max(), np.finfo(float).tiny)
-    G = np.zeros((d, d), dtype=complex)
     omega_checks = []
     free_pairs = set()
-    for i in range(d):
-        for j in range(d):
-            s = F[i, j]
-            if link[i]:
-                s -= G[i - 1, j]
-            if link[j]:
-                s -= G[i, j - 1]
-            denom = beta[i] + beta[j]
-            if abs(denom) > tol * scale:
-                G[i, j] = s / denom
-            else:
-                in_big_i = link[i] or (i + 1 < d and link[i + 1])
-                in_big_j = link[j] or (j + 1 < d and link[j + 1])
-                if in_big_i or in_big_j:
-                    raise NontrivialImaginaryBlock(
-                        "vanishing diagonal inside a nontrivial Jordan block"
-                    )
-                omega_checks.append((i * d + j, float(abs(s))))
-                if abs(s) > tol_omega * f_scale:
-                    raise InconsistentSingularSystem(
-                        f"omega_{i * d + j} = {abs(s):.3e} does not vanish "
-                        f"(relative to |P^T M_i P| = {f_scale:.3e}); the bath "
-                        "matrix cannot be PSD or tolerances are inconsistent"
-                    )
-                G[i, j] = 0.0
-                if i != j:
-                    free_pairs.add((min(i, j), max(i, j)))
+
+    def singular(i: int, j: int, s: complex) -> None:
+        omega_checks.append((i * d + j, float(abs(s))))
+        if abs(s) > tol_omega * f_scale:
+            raise InconsistentSingularSystem(
+                f"omega_{i * d + j} = {abs(s):.3e} does not vanish "
+                f"(relative to |P^T M_i P| = {f_scale:.3e}); the bath "
+                "matrix cannot be PSD or tolerances are inconsistent"
+            )
+        if i != j:
+            free_pairs.add((min(i, j), max(i, j)))
+
+    if link.any():
+        G = np.zeros((d, d), dtype=complex)
+        for i in range(d):
+            for j in range(d):
+                s = F[i, j]
+                if link[i]:
+                    s -= G[i - 1, j]
+                if link[j]:
+                    s -= G[i, j - 1]
+                if regular[i, j]:
+                    G[i, j] = s / denoms[i, j]
+                else:
+                    in_big_i = link[i] or (i + 1 < d and link[i + 1])
+                    in_big_j = link[j] or (j + 1 < d and link[j + 1])
+                    if in_big_i or in_big_j:
+                        raise NontrivialImaginaryBlock(
+                            "vanishing diagonal inside a nontrivial Jordan block"
+                        )
+                    singular(i, j, s)
+    else:
+        # all blocks trivial: no position depends on another, so the
+        # substitution is one elementwise division plus the singular positions
+        # in row-major order
+        G = np.divide(F, denoms, out=np.zeros((d, d), dtype=complex), where=regular)
+        for i, j in zip(*(ix.tolist() for ix in np.nonzero(~regular))):
+            singular(i, j, F[i, j])
 
     Z_raw = jf.P_inv.T @ G @ jf.P_inv
     imag_residue = float(np.abs(Z_raw.imag).max())

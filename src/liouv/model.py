@@ -154,9 +154,9 @@ def build_structure_matrix(
     A[d:, d:] = twoK - 2j * bath.M_i
     A0 = 2 * np.trace(bath.M_r)
     scale = max(np.abs(A).max(), 1.0)
-    J = skew_unit(model.n)
     asym = np.abs(A + A.T).max()
-    conj_res = np.abs(A.conj() - J @ A @ J).max()
+    # J A J with the permutation J = skew_unit(n): the two halves swapped
+    conj_res = np.abs(A.conj() - np.roll(A, (d, d), axis=(0, 1))).max()
     if asym > tol_build * scale or conj_res > tol_build * scale:
         raise BuildInvariantViolated(
             f"structure matrix invariants failed: |A+A^T|={asym:.3e}, "

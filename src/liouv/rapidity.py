@@ -1,12 +1,18 @@
 """Numerical Jordan canonical form of the real matrix X and its stability data.
 
 The rapidities are the eigenvalues of X = 2K + 2M_r.  A numerical Jordan form
-is ill-posed, so the decomposition is tolerance-parameterized: eigenvalues are
-clustered, block sizes come from an SVD rank staircase of powers of
-(X - beta 1), and generalized-eigenvector chains are built top-down from seeds
-in ker(X-beta)^l that are independent of ker(X-beta)^(l-1) and of the taller
-chains.  Borderline rank decisions are surfaced via an ill_conditioned flag
-rather than hidden.
+is ill-posed, so the decomposition is tolerance-parameterized: the eigenvalues
+of one np.linalg.eig are clustered, and block sizes come from an SVD rank
+staircase of powers of (X - beta 1) (Golub and Wilkinson, SIAM Rev. 18 (1976)
+578), with generalized-eigenvector chains built top-down from seeds in
+ker(X-beta)^l that are independent of ker(X-beta)^(l-1) and of the taller
+chains.  A singleton cluster skips the staircase and takes its eigenvector
+from the same eig call when an O(d^3) certificate, computed for all columns
+at once, proves that the staircase would decide nullity 1 with no borderline
+singular value (_certified_singletons); the staircase then runs only on
+clusters of several eigenvalues and on the singletons that fail it.
+Borderline rank decisions are surfaced via an ill_conditioned flag rather
+than hidden.
 """
 
 from __future__ import annotations
@@ -60,15 +66,7 @@ class JordanForm:
         return self.P.shape[0]
 
     def delta(self) -> np.ndarray:
-        d = self.dim
-        out = np.zeros((d, d), dtype=complex)
-        for b in self.blocks:
-            s = b.chain_start
-            for i in range(b.size):
-                out[s + i, s + i] = b.rapidity
-                if i + 1 < b.size:
-                    out[s + i, s + i + 1] = 1.0
-        return out
+        return _delta(self.blocks, self.dim)
 
     def rapidities(self) -> list[tuple[int, complex, list[int]]]:
         """Distinct rapidities as (j, beta, block indices), in sort order."""
@@ -84,27 +82,43 @@ class JordanForm:
         return dict(self.conjugate_pairing)
 
 
+def _delta(blocks, d: int) -> np.ndarray:
+    """Delta: each block's rapidity on the diagonal, ones above it along the chain."""
+    out = np.zeros((d, d), dtype=complex)
+    for b in blocks:
+        idx = np.arange(b.chain_start, b.chain_start + b.size)
+        out[idx, idx] = b.rapidity
+        out[idx[:-1], idx[1:]] = 1.0
+    return out
+
+
+def _distances(values: np.ndarray) -> np.ndarray:
+    """|w_i - w_j| for all pairs; hypot rounds as abs() of one complex scalar."""
+    diff = values[:, None] - values[None, :]
+    return np.hypot(diff.real, diff.imag)
+
+
 def _cluster(values: np.ndarray, tol: float) -> list[list[int]]:
-    """Transitive-closure clustering of complex values within tol."""
-    m = len(values)
-    parent = list(range(m))
+    """Transitive-closure clustering of complex values within tol.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(values[i] - values[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    Connected components of the graph |w_i - w_j| <= tol, ordered by their
+    smallest member, members ascending.
+    """
+    i, j = np.nonzero(np.triu(_distances(values) <= tol, 1))
+    # every label stays a member of its component and only decreases, so the
+    # fixed point labels each component with its smallest member
+    labels = np.arange(len(values))
+    while True:
+        prev = labels
+        labels = labels.copy()
+        np.minimum.at(labels, i, labels[j])
+        np.minimum.at(labels, j, labels[i])
+        labels = labels[labels]
+        if np.array_equal(labels, prev):
+            break
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    return [group.tolist() for group in np.split(order, cuts)]
 
 
 def _svd_rank(mat: np.ndarray, threshold: float) -> tuple[int, bool]:
@@ -137,11 +151,14 @@ def _block_sizes_from_nullities(nullities: list[int]) -> list[int]:
     return sorted(sizes, reverse=True)
 
 
-def _chains_for_rapidity(X: np.ndarray, beta: complex, multiplicity: int, tol_rank: float):
+def _chains_for_rapidity(
+    X: np.ndarray, beta: complex, multiplicity: int, tol_rank: float, x_norm: float
+):
     """Block sizes and generalized-eigenvector chains for one clustered rapidity.
 
-    Returns (sizes, chains, borderline) where chains[i] is a matrix whose
-    columns v_1..v_l satisfy X v_1 = beta v_1, X v_i = beta v_i + v_{i-1}.
+    x_norm is ||X||_2.  Returns (sizes, chains, borderline) where chains[i] is
+    a matrix whose columns v_1..v_l satisfy X v_1 = beta v_1,
+    X v_i = beta v_i + v_{i-1}.
     """
     d = X.shape[0]
     real_case = abs(complex(beta).imag) == 0.0
@@ -150,7 +167,6 @@ def _chains_for_rapidity(X: np.ndarray, beta: complex, multiplicity: int, tol_ra
     else:
         Y = X - complex(beta) * np.eye(d, dtype=complex)
 
-    x_norm = float(np.linalg.norm(X, 2))
     y_norm = float(np.linalg.norm(Y, 2))
     nullities = []
     borderline = False
@@ -220,6 +236,38 @@ def _chains_for_rapidity(X: np.ndarray, beta: complex, multiplicity: int, tol_ra
     return sizes, chains, borderline
 
 
+def _certified_singletons(
+    X: np.ndarray, w: np.ndarray, V: np.ndarray, x_norm: float, tol_rank: float
+) -> np.ndarray:
+    """Columns i whose eigenpair (w_i, V[:, i]) provably gets the staircase's
+    first-step decision for beta = w_i: nullity 1 and no borderline singular
+    value.  V has unit columns, as np.linalg.eig returns them; the whole
+    certificate costs O(d^3).
+
+    The staircase's k = 1 threshold tol_rank * max(||X - beta||, ||X||) lies
+    in [thr_lo, thr_hi] = tol_rank * [||X||, ||X|| + |beta|].  The residual
+    r_i = ||X v_i - w_i v_i|| bounds sigma_min(X - w_i) from above (nullity
+    >= 1).  With E = ||X - V diag(w) V^-1||_F and sep_i = min_{j != i}
+    |w_j - w_i|, Weyl's inequality gives sigma_{d-1}(X - w_i) >=
+    sep_i / cond(V) - E (nullity <= 1).  Requiring r_i < thr_lo / 10 and
+    sep_i / cond(V) - E > 10 thr_hi keeps every singular value outside the
+    borderline band (thr / 10, 10 thr).
+    """
+    try:
+        V_inv = np.linalg.inv(V)
+    except np.linalg.LinAlgError:  # exactly parallel eigenvectors: defective
+        return np.zeros(len(w), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = np.linalg.norm(X - (V * w) @ V_inv)
+        residual = np.linalg.norm(X @ V - V * w, axis=0)
+        sep = _distances(w)
+        np.fill_diagonal(sep, np.inf)
+        lower = sep.min(axis=1) / np.linalg.cond(V) - E
+    thr_lo = tol_rank * max(x_norm, 1e-300)
+    thr_hi = tol_rank * (x_norm + np.abs(w))
+    return (residual < thr_lo / 10) & (lower > 10 * thr_hi)
+
+
 def jordan_decompose(
     X: np.ndarray,
     tol_cluster: float = TOL_CLUSTER,
@@ -239,32 +287,36 @@ def jordan_decompose(
     x_norm = float(np.linalg.norm(X, 2)) if d else 0.0
     scale = max(x_norm, 1.0)
 
-    eigvals = np.linalg.eigvals(X)
+    eigvals, eigvecs = np.linalg.eig(X)
     clusters = _cluster(eigvals, tol_cluster * scale)
     means = [complex(np.mean(eigvals[idx])) for idx in clusters]
 
-    ill = False
     # inter-cluster separation close to the merge threshold is itself fragile
-    for i in range(len(means)):
-        for j in range(i + 1, len(means)):
-            if abs(means[i] - means[j]) < 10 * tol_cluster * scale:
-                ill = True
+    near = _distances(np.array(means, dtype=complex)) < 10 * tol_cluster * scale
+    ill = bool(np.triu(near, 1).any())
+
+    # eig returns unit columns; the fast path uses them as they are
+    certified = _certified_singletons(X, eigvals, eigvecs, x_norm, tol_rank)
+
+    def chains_for(beta: complex, idx: list[int]):
+        i = idx[0]
+        if len(idx) == 1 and beta == eigvals[i] and certified[i]:
+            return [1], [eigvecs[:, [i]]], False
+        return _chains_for_rapidity(X, beta, len(idx), tol_rank, x_norm)
 
     entries = []  # (beta, sizes, chains) for real and Im>0 representatives
     mirrored = []  # (beta_conj, sizes, conj chains)
-    seen_pos = {}
     for idx, mean in zip(clusters, means):
         if abs(mean.imag) <= tol_cluster * scale:
             beta = complex(mean.real)
-            sizes, chains, bl = _chains_for_rapidity(X, beta.real, len(idx), tol_rank)
-            chains = [c.astype(complex) for c in chains]
+            sizes, chains, bl = chains_for(beta.real, idx)
+            chains = [c.real.astype(complex) for c in chains]
             entries.append((beta, sizes, chains))
             ill = ill or bl
         elif mean.imag > 0:
             beta = mean
-            sizes, chains, bl = _chains_for_rapidity(X, beta, len(idx), tol_rank)
+            sizes, chains, bl = chains_for(beta, idx)
             entries.append((beta, sizes, chains))
-            seen_pos[beta] = (sizes, chains)
             mirrored.append((beta.conjugate(), sizes, [c.conj() for c in chains]))
             ill = ill or bl
         else:
@@ -322,13 +374,7 @@ def jordan_decompose(
     P.setflags(write=False)
     P_inv.setflags(write=False)
 
-    delta = np.zeros((d, d), dtype=complex)
-    for b in blocks:
-        s = b.chain_start
-        for i in range(b.size):
-            delta[s + i, s + i] = b.rapidity
-            if i + 1 < b.size:
-                delta[s + i, s + i + 1] = 1.0
+    delta = _delta(blocks, d)
     recon = np.abs(P @ delta @ P_inv - X).max() / max(np.abs(X).max(), 1.0)
 
     return JordanForm(

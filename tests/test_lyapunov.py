@@ -232,3 +232,55 @@ def test_dense_path_does_not_load_scipy_linalg():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def _jordan_path_reference(M_i, jf):
+    """The per-position forward substitution the trivial-block path replaced,
+    kept verbatim as the reference: (Z, omega_checks, free pair count)."""
+    tol, tol_omega = liouv.lyapunov.TOL_LYAP, liouv.lyapunov.TOL_OMEGA
+    d = jf.dim
+    scale = max(jf.x_norm, np.finfo(float).tiny)
+    beta = np.zeros(d, dtype=complex)
+    link = np.zeros(d, dtype=bool)
+    for b in jf.blocks:
+        for i in range(b.size):
+            beta[b.chain_start + i] = b.rapidity
+            if i > 0:
+                link[b.chain_start + i] = True
+    F = jf.P.T @ M_i @ jf.P
+    f_scale = max(np.abs(F).max(), np.finfo(float).tiny)
+    G = np.zeros((d, d), dtype=complex)
+    omega_checks = []
+    free_pairs = set()
+    for i in range(d):
+        for j in range(d):
+            s = F[i, j]
+            if link[i]:
+                s -= G[i - 1, j]
+            if link[j]:
+                s -= G[i, j - 1]
+            denom = beta[i] + beta[j]
+            if abs(denom) > tol * scale:
+                G[i, j] = s / denom
+            else:
+                omega_checks.append((i * d + j, float(abs(s))))
+                assert abs(s) <= tol_omega * f_scale
+                G[i, j] = 0.0
+                if i != j:
+                    free_pairs.add((min(i, j), max(i, j)))
+    Z_raw = (jf.P_inv.T @ G @ jf.P_inv).real
+    return (Z_raw - Z_raw.T) / 2, omega_checks, len(free_pairs)
+
+
+@pytest.mark.parametrize(
+    "n, seed, decoupled", [(2, 0, 1), (3, 1, 2), (4, 2, 3), (6, 3, 4), (12, 4, 6), (48, 101, 16)]
+)
+def test_trivial_block_jordan_path_matches_loop(n, seed, decoupled):
+    bath, X, jf = stage(random_axis_model(n, seed=seed, decoupled=decoupled))
+    assert all(b.size == 1 for b in jf.blocks)
+    ds = solve_lyapunov(X, bath.M_i, jf)
+    assert ds.method == "jordan"
+    Z, omega_checks, free = _jordan_path_reference(bath.M_i, jf)
+    assert np.array_equal(ds.Z, Z)
+    assert list(ds.omega_checks) == omega_checks
+    assert ds.free_parameter_count == free

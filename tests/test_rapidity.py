@@ -262,3 +262,165 @@ def test_ill_conditioned_propagates_to_report_warning():
     )
     result = analyze(m)
     assert WARN_ILL_CONDITIONED in result.warnings
+
+
+def _staircase_only(monkeypatch, X, **kw):
+    """jordan_decompose with every singleton certificate refused."""
+    import liouv.rapidity as rapidity
+
+    with monkeypatch.context() as mp:
+        mp.setattr(
+            rapidity, "_certified_singletons", lambda X, w, *a: np.zeros(len(w), dtype=bool)
+        )
+        return jordan_decompose(X, **kw)
+
+
+def _count_staircase_calls(monkeypatch):
+    import liouv.rapidity as rapidity
+
+    calls = []
+    staircase = rapidity._chains_for_rapidity
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return staircase(*args, **kwargs)
+
+    monkeypatch.setattr(rapidity, "_chains_for_rapidity", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda s=s: random_model(1 + s % 8, seed=s) for s in range(24)]
+    + [lambda s=s: random_axis_model(2 + s % 5, seed=s, decoupled=1 + s % 3) for s in range(12)],
+)
+def test_singleton_fast_path_matches_staircase(monkeypatch, make):
+    X = model_X(make())
+    ref = _staircase_only(monkeypatch, X)
+    calls = _count_staircase_calls(monkeypatch)
+    jf = jordan_decompose(X)
+    assert calls == []  # every cluster of these models is a certified singleton
+
+    assert [(b.rapidity, b.size, b.chain_start, b.j, b.k) for b in jf.blocks] == [
+        (b.rapidity, b.size, b.chain_start, b.j, b.k) for b in ref.blocks
+    ]
+    assert jf.conjugate_pairing == ref.conjugate_pairing
+    assert jf.ill_conditioned == ref.ill_conditioned
+    for idx, b in enumerate(jf.blocks):
+        p = jf.P[:, b.chain_start]
+        assert np.linalg.norm(p) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(X @ p - b.rapidity * p) <= 1e-12 * jf.x_norm
+        partner = jf.blocks[jf.pairing_map()[idx]]
+        assert np.array_equal(jf.P[:, partner.chain_start], p.conj())
+        if b.rapidity.imag == 0:
+            assert not p.imag.any()
+    assert jf.cond_P == pytest.approx(ref.cond_P, rel=1e-8)
+    assert jf.reconstruction_residual <= 10 * ref.reconstruction_residual
+
+
+@pytest.mark.parametrize("offset, sizes", [(0.0, [2]), (1e-12, [1, 1])])
+def test_near_defective_qubit_takes_staircase(monkeypatch, offset, sizes):
+    # at h* the eigenvectors coincide; at h* + 1e-12 two singletons sit 4e-6
+    # apart with cond(P) = 1e6, too close for the certificate
+    h = np.cos(np.pi / 3) + offset
+    X = model_X(single_qubit_model(h=h))
+    ref = _staircase_only(monkeypatch, X)
+    calls = _count_staircase_calls(monkeypatch)
+    jf = jordan_decompose(X)
+    assert len(calls) == 1  # one real 2-cluster, or the Im > 0 singleton
+    assert [b.size for b in jf.blocks] == sizes
+    assert not jf.ill_conditioned
+    assert [b.rapidity for b in jf.blocks] == [b.rapidity for b in ref.blocks]
+    assert np.array_equal(jf.P, ref.P)
+    assert jf.cond_P == ref.cond_P
+    if offset:
+        assert jf.cond_P == pytest.approx(1e6, rel=1e-3)
+
+
+def _cluster_reference(values, tol):
+    """The union-find loop _cluster replaced, kept verbatim as the reference."""
+    m = len(values)
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            if abs(values[i] - values[j]) <= tol:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    groups: dict[int, list[int]] = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def _cluster_cases():
+    rng = np.random.default_rng(5)
+    cases = []
+    for m in (1, 2, 7, 40, 150):
+        z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        cases.append((z, 0.05))
+        cases.append((z.real.copy(), 0.02))
+    # tie-heavy: few distinct values, many exact duplicates, shuffled
+    grid = rng.integers(0, 4, size=(60, 2)) * 0.5
+    cases.append((grid[:, 0] + 1j * grid[:, 1], 1e-12))
+    cases.append((grid[:, 0] + 1j * grid[:, 1], 0.5))
+    # chains linked only transitively, with spacings exactly at the tolerance
+    chain = rng.permutation(np.arange(30) * 0.25)
+    cases.append((chain.astype(complex), 0.25))
+    cases.append((chain.astype(complex), np.nextafter(0.25, 0)))
+    # conjugate pairs that straddle the tolerance, as eig returns them
+    im = rng.uniform(0, 1e-7, 25)
+    pairs = np.repeat(rng.uniform(0, 1, 25), 2) + 1j * np.stack([im, -im], 1).ravel()
+    cases.append((pairs, 1e-7))
+    return cases
+
+
+@pytest.mark.parametrize("values, tol", _cluster_cases())
+def test_vectorised_cluster_matches_reference_loop(values, tol):
+    from liouv.rapidity import _cluster
+
+    assert _cluster(values, tol) == _cluster_reference(values, tol)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_near_merge_flag_matches_pairwise_loop(seed):
+    # distinct diagonal rapidities spaced outside the 10 * tol_cluster band,
+    # with one gap moved inside it for odd seeds
+    rng = np.random.default_rng(seed)
+    gaps = rng.uniform(1.1e-6, 3e-6, 12)
+    if seed % 2:
+        gaps[rng.integers(1, 12)] = rng.uniform(2e-7, 9e-7)
+    values = 1.0 + np.cumsum(gaps)
+    X = np.diag(rng.permutation(values))
+    tol = 1e-7 * max(np.linalg.norm(X, 2), 1.0)
+    means = [complex(v) for v in values]
+    expected = any(
+        abs(means[i] - means[j]) < 10 * tol
+        for i in range(len(means))
+        for j in range(i + 1, len(means))
+    )
+    jf = jordan_decompose(X, tol_cluster=1e-7)
+    assert [b.size for b in jf.blocks] == [1] * len(values)
+    assert jf.ill_conditioned == expected == bool(seed % 2)
+
+
+def test_rank_tolerance_at_rounding_level_keeps_staircase_decision(monkeypatch):
+    # eigenvector residuals ~ eps ||X|| sit at or above these thresholds: the
+    # staircase finds nullity 0 (1e-16) or a borderline cut (1e-15), and the
+    # certificate must decline rather than report a clean singleton
+    from liouv.errors import InternalInvariantViolated
+
+    X = model_X(random_model(3, seed=0))
+    with pytest.raises(InternalInvariantViolated):
+        jordan_decompose(X, tol_rank=1e-16)
+    ref = _staircase_only(monkeypatch, X, tol_rank=1e-15)
+    jf = jordan_decompose(X, tol_rank=1e-15)
+    assert ref.ill_conditioned and jf.ill_conditioned
+    assert [(b.rapidity, b.size) for b in jf.blocks] == [(b.rapidity, b.size) for b in ref.blocks]
