@@ -9,7 +9,7 @@ Jordan-block bounds, NESS classification and steady-state covariance follow.
 A dense brute-force oracle cross-checks everything at small fermion number.
 """
 
-from .analysis import AnalysisResult, Tolerances, analyze, build_report, render_text
+from .analysis import AnalysisResult, analyze, build_report, render_text
 from .combinatorics import (
     JordanBlockMultiset,
     nilpotent_blocks,
@@ -56,6 +56,7 @@ from .spectra import (
     enumerate_spectrum,
     ness_covariance,
 )
+from .tolerances import Tolerances
 
 __version__ = "0.1.0"
 

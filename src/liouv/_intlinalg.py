@@ -1,11 +1,14 @@
 """Exact linear algebra over the integers (Python bigints, no floating point).
 
-Only what the combinatorial Jordan-structure computations need: matrix
-products, Bareiss fraction-free rank, and the rank staircase of a nilpotent
-matrix.
+Only what the Jordan-structure computations need: matrix products, Bareiss
+fraction-free rank, the rank staircase of a nilpotent matrix, and the Jordan
+block sizes a nullity staircase determines (shared with the numerical Jordan
+form, whose staircase comes from SVD ranks).
 """
 
 from __future__ import annotations
+
+from .errors import InternalInvariantViolated
 
 IntMatrix = list[list[int]]
 
@@ -25,7 +28,6 @@ def int_rank(mat: IntMatrix) -> int:
         return 0
     m = [row[:] for row in mat]
     rows, cols = len(m), len(m[0])
-    rank = 0
     prev = 1
     r = 0
     for c in range(cols):
@@ -39,22 +41,19 @@ def int_rank(mat: IntMatrix) -> int:
             m[i][c] = 0
         prev = m[r][c]
         r += 1
-        rank += 1
         if r == rows:
             break
-    return rank
+    return r
 
 
-def nilpotent_staircase(mat: IntMatrix, max_power: int | None = None) -> list[int]:
+def nilpotent_staircase(mat: IntMatrix) -> list[int]:
     """Ranks of mat^1, mat^2, ... of a nilpotent integer matrix, until zero.
 
-    Raises if the matrix is not nilpotent within dim (or max_power) steps.
+    Raises if the matrix is not nilpotent within dim steps.
     """
-    dim = len(mat)
-    limit = dim if max_power is None else max_power
     ranks = []
     power = mat
-    for _ in range(limit):
+    for _ in range(len(mat)):
         r = int_rank(power)
         ranks.append(r)
         if r == 0:
@@ -65,23 +64,20 @@ def nilpotent_staircase(mat: IntMatrix, max_power: int | None = None) -> list[in
     return ranks
 
 
-def blocks_from_staircase(dim: int, ranks: list[int]) -> list[tuple[int, int]]:
-    """Jordan block multiset (size, count) of a nilpotent map from its rank staircase.
+def jordan_profile(nullities: list[int]) -> list[tuple[int, int]]:
+    """Jordan block multiset (size, count), largest first, from a nullity staircase.
 
-    ranks[p-1] = rank(N^p); nullities nu_p = dim - rank(N^p); the number of
-    blocks of size >= p is nu_p - nu_{p-1}, so blocks of size exactly p number
+    nullities[p-1] = nu_p = dim ker N^p for the nilpotent part N on one
+    eigenvalue, up to the power where it stops growing.  The number of blocks
+    of size >= p is nu_p - nu_{p-1}, so blocks of size exactly p number
     2*nu_p - nu_{p-1} - nu_{p+1}.
     """
-    if ranks and ranks[-1] != 0:
-        raise ValueError("staircase must end at rank zero")
-    nullity = [0] + [dim - r for r in ranks]
-    # after nilpotency index the nullity stays at dim
-    nullity.append(dim)
+    nu = [0, *nullities, *nullities[-1:]]
     out = []
-    for p in range(1, len(nullity) - 1):
-        count = 2 * nullity[p] - nullity[p - 1] - nullity[p + 1]
+    for p in range(len(nu) - 2, 0, -1):
+        count = 2 * nu[p] - nu[p - 1] - nu[p + 1]
         if count < 0:
-            raise ValueError("staircase is not monotone-concave; not a nilpotent rank profile")
+            raise InternalInvariantViolated("rank staircase is not a Jordan profile")
         if count > 0:
             out.append((p, count))
-    return sorted(out, reverse=True)
+    return out

@@ -8,12 +8,11 @@ human-readable table view.
 
 from __future__ import annotations
 
-import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InputError, SpectrumTooLarge
+from .errors import SpectrumTooLarge
 from .lyapunov import DrivingSolution, solve_lyapunov
 from .model import (
     BathMatrices,
@@ -37,6 +36,7 @@ from .spectra import (
     classify_ness,
     enumerate_spectrum,
 )
+from .tolerances import DEFAULTS, Tolerances
 
 WARN_ILL_CONDITIONED = "ill_conditioned_jordan"
 WARN_COV_NOT_UNIQUE = "covariance_not_unique"
@@ -49,37 +49,6 @@ ALL_WARNINGS = (
     WARN_PHYSICALITY,
     WARN_SPECTRUM_TRUNCATED,
 )
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    tol_input: float = 1e-10
-    tol_build: float = 1e-12
-    tol_psd: float = 1e-10
-    tol_cluster: float = 1e-7
-    tol_rank: float = 1e-9
-    tol_stability: float = 1e-8
-    tol_lyap: float = 1e-8
-    tol_omega: float = 1e-8
-    tol_normal: float = 1e-8
-    tol_merge: float = 1e-8
-    spectrum_limit: int = 10**6
-
-    def __post_init__(self):
-        """Reject what would make a tolerance comparison meaningless: NaN,
-        infinities, non-positive values and booleans; the limit must be a
-        positive integer.  Model files and CLI flags both arrive here."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "spectrum_limit":
-                ok = isinstance(value, int) and not isinstance(value, bool) and value > 0
-                expected = "a positive integer"
-            else:
-                ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-                      and math.isfinite(value) and value > 0)
-                expected = "a finite positive number"
-            if not ok:
-                raise InputError(f"tolerance '{f.name}': expected {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -101,7 +70,7 @@ class AnalysisResult:
 
 def analyze(
     model: QuadraticLindbladModel,
-    tolerances: Tolerances = Tolerances(),
+    tolerances: Tolerances = DEFAULTS,
 ) -> AnalysisResult:
     """Run the whole fast path on a validated model."""
     t = tolerances
@@ -112,7 +81,7 @@ def analyze(
     stability = stability_check(jf, t.tol_stability)
     driving = solve_lyapunov(X, bath.M_i, jf, t.tol_lyap, t.tol_omega)
     nmb = build_V(jf, driving.Z, t.tol_normal)
-    nform = normal_form_coefficients(nmb, jf)
+    nform = normal_form_coefficients(jf)
     ness = classify_ness(jf, t.tol_stability, stability)
     ness = attach_covariance(ness, driving.Z, driving.unique)
 
@@ -152,12 +121,14 @@ def _c(z) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _cmat(m: np.ndarray) -> list:
-    return [[_c(v) for v in row] for row in np.asarray(m)]
+def _cmat(m) -> list:
+    """Nested lists of [re, im] pairs, each a Python float as float() gives it."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
-def _rmat(m: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in np.asarray(m)]
+def _rmat(m) -> list:
+    return np.asarray(m, dtype=float).tolist()
 
 
 def build_report(result: AnalysisResult, full_spectrum: bool = False) -> dict:
@@ -177,7 +148,7 @@ def build_report(result: AnalysisResult, full_spectrum: bool = False) -> dict:
         "input": {
             "n": model.n,
             "K": _rmat(model.K),
-            "lindblad": [[_c(v) for v in l] for l in model.lindblad_vectors],
+            "lindblad": _cmat(model.lindblad_vectors),
         },
         "tolerances": {k: (int(v) if isinstance(v, int) else float(v))
                        for k, v in asdict(r.tolerances).items()},

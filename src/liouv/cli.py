@@ -19,23 +19,24 @@ import numpy as np
 
 from . import combinatorics as comb
 from . import oracle
-from .analysis import Tolerances, analyze, build_report, render_text
+from .analysis import analyze, build_report, render_text
 from .errors import InputError, InternalInvariantViolated
 from .io import load_model
 from .randmodel import random_model
+from .tolerances import Tolerances
 
-_TOL_FLAGS = [f.name for f in dataclasses.fields(Tolerances) if f.name != "spectrum_limit"]
+_TOLERANCE_FLAGS = [f.name for f in dataclasses.fields(Tolerances) if f.name != "spectrum_limit"]
 
 
 def _add_tol_flags(p: argparse.ArgumentParser):
-    for name in _TOL_FLAGS:
+    for name in _TOLERANCE_FLAGS:
         p.add_argument(f"--{name.replace('_', '-')}", type=float, default=None,
                        help=f"override {name}")
 
 
 def _tolerances_from_args(args, base: Tolerances) -> Tolerances:
     overrides = {}
-    for name in _TOL_FLAGS:
+    for name in _TOLERANCE_FLAGS:
         val = getattr(args, name, None)
         if val is not None:
             overrides[name] = val

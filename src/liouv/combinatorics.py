@@ -16,9 +16,9 @@ from functools import lru_cache
 
 from ._intlinalg import (
     IntMatrix,
-    blocks_from_staircase,
     int_matmul,
     int_rank,
+    jordan_profile,
     nilpotent_staircase,
 )
 from .errors import IdentityViolated, TooLarge
@@ -252,7 +252,7 @@ def nilpotent_blocks(l: int, m: int, limit: int = DEFAULT_DIMENSION_LIMIT) -> Ni
         ranks.append(total)
         if total == 0:
             break
-    staircase = JordanBlockMultiset(tuple(blocks_from_staircase(dim, ranks)))
+    staircase = JordanBlockMultiset(tuple(jordan_profile([dim - r for r in ranks])))
     conj = conjectured_blocks(l, m)
     return NilpotentBlocksReport(l, m, staircase, conj, staircase == conj)
 
@@ -326,4 +326,4 @@ def verify_conjecture(l: int, limit: int = DEFAULT_DIMENSION_LIMIT) -> Conjectur
 def jordan_blocks_of_nilpotent(mat: IntMatrix) -> JordanBlockMultiset:
     """Exact Jordan block multiset of an arbitrary nilpotent integer matrix."""
     ranks = nilpotent_staircase(mat)
-    return JordanBlockMultiset(tuple(blocks_from_staircase(len(mat), ranks)))
+    return JordanBlockMultiset(tuple(jordan_profile([len(mat) - r for r in ranks])))

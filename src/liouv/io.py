@@ -13,17 +13,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import Tolerances
 from .errors import ParseError
 from .model import QuadraticLindbladModel, validate_model
+from .tolerances import Tolerances
 
 
-def _entry_to_complex(v, where: str) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v):
-        return complex(v[0], v[1])
-    raise ParseError(f"{where}: expected a number or [re, im] pair, got {v!r}")
+def _is_number(v) -> bool:
+    """A number: bool is a subclass of int but is no number here."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _entry_to_complex(v, mu: int, i: int) -> complex:
+    try:
+        if _is_number(v):
+            return complex(v)
+        if isinstance(v, list) and len(v) == 2 and _is_number(v[0]) and _is_number(v[1]):
+            return complex(v[0], v[1])
+    except OverflowError as exc:
+        raise ParseError(f"lindblad[{mu}][{i}]: {v!r} is out of float range") from exc
+    raise ParseError(f"lindblad[{mu}][{i}]: expected a number or [re, im] pair, got {v!r}")
 
 
 def parse_model_dict(doc: dict) -> tuple[QuadraticLindbladModel, Tolerances]:
@@ -33,16 +41,20 @@ def parse_model_dict(doc: dict) -> tuple[QuadraticLindbladModel, Tolerances]:
         if key not in doc:
             raise ParseError(f"missing required field '{key}'")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError(f"field 'n': expected a positive integer, got {n!r}")
     K = doc["K"]
     if (not isinstance(K, list) or len(K) != 2 * n
             or any(not isinstance(row, list) or len(row) != 2 * n for row in K)):
         raise ParseError(f"field 'K': expected a {2*n}x{2*n} array of reals")
+    for i, row in enumerate(K):
+        for j, v in enumerate(row):
+            if not _is_number(v):
+                raise ParseError(f"field 'K[{i}][{j}]': expected a real number, got {v!r}")
     try:
         K_arr = np.array(K, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"field 'K': non-numeric entry ({exc})") from exc
+    except OverflowError as exc:
+        raise ParseError(f"field 'K': entry out of floating-point range ({exc})") from exc
     if not isinstance(doc["lindblad"], list):
         raise ParseError("field 'lindblad': expected a list of coupling vectors")
     vectors = []
@@ -52,7 +64,7 @@ def parse_model_dict(doc: dict) -> tuple[QuadraticLindbladModel, Tolerances]:
                 f"field 'lindblad[{mu}]': expected a vector of length {2*n}"
             )
         vectors.append(
-            np.array([_entry_to_complex(v, f"lindblad[{mu}][{i}]") for i, v in enumerate(vec)])
+            np.array([_entry_to_complex(v, mu, i) for i, v in enumerate(vec)])
         )
     tol_kwargs = {}
     tol_doc = doc.get("tolerances", {})

@@ -23,10 +23,9 @@ from .errors import (
     InconsistentSingularSystem,
     NontrivialImaginaryBlock,
 )
-from .rapidity import JordanForm
+from .rapidity import JordanForm, complex_abs
+from .tolerances import DEFAULTS
 
-TOL_LYAP = 1e-8
-TOL_OMEGA = 1e-8
 # sign iteration: step cap, and the relative change of A below which the
 # determinant scaling is switched off to keep the final steps quadratic
 SIGN_MAX_STEPS = 100
@@ -142,8 +141,8 @@ def solve_lyapunov(
     X: np.ndarray,
     M_i: np.ndarray,
     jf: JordanForm,
-    tol: float = TOL_LYAP,
-    tol_omega: float = TOL_OMEGA,
+    tol: float = DEFAULTS.tol_lyap,
+    tol_omega: float = DEFAULTS.tol_omega,
     method: str = "auto",
 ) -> DrivingSolution:
     """Solve X^T Z + Z X = M_i for real antisymmetric Z.
@@ -167,7 +166,7 @@ def solve_lyapunov(
     beta = np.diagonal(delta)
     link = np.concatenate(([False], np.diagonal(delta, 1) != 0))
     denoms = beta[:, None] + beta[None, :]
-    regular = np.hypot(denoms.real, denoms.imag) > tol * scale
+    regular = complex_abs(denoms) > tol * scale
     has_singular_pair = not regular.all()
 
     if method == "auto":

@@ -14,10 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BuildInvariantViolated, DimensionMismatch, InputError, NotAntisymmetric
-
-TOL_INPUT = 1e-10
-TOL_BUILD = 1e-12
-TOL_PSD = 1e-10
+from .tolerances import DEFAULTS
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -60,7 +57,7 @@ def validate_model(
     n: int,
     K: np.ndarray,
     lindblad_vectors,
-    tol_input: float = TOL_INPUT,
+    tol_input: float = DEFAULTS.tol_input,
 ) -> QuadraticLindbladModel:
     """Check shapes, finiteness and antisymmetry; return the model with K
     antisymmetrized.
@@ -95,7 +92,9 @@ def validate_model(
     return QuadraticLindbladModel(n, _frozen((K - K.T) / 2), tuple(vectors))
 
 
-def build_bath_matrices(model: QuadraticLindbladModel, tol_psd: float = TOL_PSD) -> BathMatrices:
+def build_bath_matrices(
+    model: QuadraticLindbladModel, tol_psd: float = DEFAULTS.tol_psd
+) -> BathMatrices:
     """Assemble M = sum_mu l_mu (x) conj(l_mu); PSD by construction, asserted anyway."""
     d = model.dim
     M = np.zeros((d, d), dtype=complex)
@@ -137,7 +136,7 @@ def tilde_unitary(n: int) -> np.ndarray:
 def build_structure_matrix(
     model: QuadraticLindbladModel,
     bath: BathMatrices,
-    tol_build: float = TOL_BUILD,
+    tol_build: float = DEFAULTS.tol_build,
 ) -> StructureMatrix:
     """Assemble A blockwise and check antisymmetry and self-conjugation.
 

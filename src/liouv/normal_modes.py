@@ -1,7 +1,8 @@
 """Similarity W, eigenvector matrix V and the normal form of the Liouvillean.
 
 W = 1 + 2(sigma^1 - i sigma^3) (x) Z is complex orthogonal (the generator is
-nilpotent), and V = V_0 W brings the structure matrix to its canonical form
+nilpotent), and V = V_0 W, with V_0 = (P^T (+) P^-1) U the zero-driving
+eigenvector matrix, brings the structure matrix to its canonical form
 A = V^T [[0, Delta], [-Delta^T, 0]] V with the normalization V V^T = J.  The
 first 2n rows of V define the annihilation master modes b, the last 2n rows
 the creation modes b'.
@@ -14,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormalizationFailure
-from .model import skew_unit, tilde_unitary
+from .model import skew_unit
 from .rapidity import JordanForm
-
-TOL_NORMAL = 1e-8
+from .tolerances import DEFAULTS
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,8 @@ class NormalModeBasis:
 
 
 def build_W(Z: np.ndarray) -> np.ndarray:
-    """W = 1 + 2(sigma^1 - i sigma^3) (x) Z; satisfies W W^T = 1 identically."""
+    """W = 1 + 2(sigma^1 - i sigma^3) (x) Z; satisfies W W^T = 1 identically, and
+    W^-1 = build_W(-Z) because the generator squares to zero."""
     d = Z.shape[0]
     W = np.eye(2 * d, dtype=complex)
     W[:d, :d] -= 2j * Z
@@ -48,21 +49,6 @@ def build_W(Z: np.ndarray) -> np.ndarray:
     W[d:, :d] += 2 * Z
     W[d:, d:] += 2j * Z
     return W
-
-
-def build_W_inverse(Z: np.ndarray) -> np.ndarray:
-    """W^-1 = 1 - 2(sigma^1 - i sigma^3) (x) Z (the generator squares to zero)."""
-    return build_W(-Z)
-
-
-def build_V0(jf: JordanForm) -> np.ndarray:
-    """Zero-driving eigenvector matrix V_0 = (P^T (+) P^-1) U."""
-    d = jf.dim
-    U = tilde_unitary(d // 2)
-    V0 = np.zeros((2 * d, 2 * d), dtype=complex)
-    V0[:d, :] = np.hstack([jf.P.T, np.zeros((d, d))]) @ U
-    V0[d:, :] = np.hstack([np.zeros((d, d)), jf.P_inv]) @ U
-    return V0
 
 
 def _row_labels(jf: JordanForm) -> tuple[RowLabel, ...]:
@@ -76,7 +62,7 @@ def _row_labels(jf: JordanForm) -> tuple[RowLabel, ...]:
     )
 
 
-def build_V(jf: JordanForm, Z: np.ndarray, tol: float = TOL_NORMAL) -> NormalModeBasis:
+def build_V(jf: JordanForm, Z: np.ndarray, tol: float = DEFAULTS.tol_normal) -> NormalModeBasis:
     """Assemble V from the closed block form and verify its invariants.
 
     V = (1/sqrt2) [[P^T (1 - 4iZ), -i P^T (1 + 4iZ)], [P^-1, i P^-1]].
@@ -110,16 +96,6 @@ def build_V(jf: JordanForm, Z: np.ndarray, tol: float = TOL_NORMAL) -> NormalMod
         normalization_residual=norm_res,
         orthogonality_residual=orth_res,
     )
-
-
-def reconstruct_structure_matrix(nmb: NormalModeBasis, jf: JordanForm) -> np.ndarray:
-    """V^T [[0, Delta], [-Delta^T, 0]] V; equals A when P, Z are consistent."""
-    d = jf.dim
-    delta = jf.delta()
-    core = np.zeros((2 * d, 2 * d), dtype=complex)
-    core[:d, d:] = delta
-    core[d:, :d] = -delta.T
-    return nmb.V.T @ core @ nmb.V
 
 
 @dataclass(frozen=True)
@@ -157,9 +133,8 @@ class NormalFormDescriptor:
         return sum(b.size * b.rapidity for b in self.blocks)
 
 
-def normal_form_coefficients(nmb: NormalModeBasis, jf: JordanForm) -> NormalFormDescriptor:
+def normal_form_coefficients(jf: JordanForm) -> NormalFormDescriptor:
     """Symbolic normal form of the Liouvillean over the master modes."""
-    del nmb  # labels are consistent with jf by construction
     return NormalFormDescriptor(
         tuple(NormalFormBlock(b.j, b.k, b.rapidity, b.size) for b in jf.blocks)
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BuildInvariantViolated, TooLarge
+from .errors import BuildInvariantViolated, InputError, TooLarge
 from .model import (
     BathMatrices,
     QuadraticLindbladModel,
@@ -33,10 +33,17 @@ _SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def resolve_nmax(n_max: int | None = None) -> int:
+    """n_max if given, else LIOUV_NMAX if set (a positive integer), else DEFAULT_NMAX."""
     if n_max is not None:
         return n_max
     env = os.environ.get("LIOUV_NMAX")
-    return int(env) if env else DEFAULT_NMAX
+    try:
+        value = int(env or DEFAULT_NMAX)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise InputError(f"LIOUV_NMAX: expected a positive integer, got {env!r}")
+    return value
 
 
 def _check_size(n: int, n_max: int | None):

@@ -21,11 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._intlinalg import jordan_profile
 from .errors import InternalInvariantViolated, StabilityViolated
-
-TOL_CLUSTER = 1e-7
-TOL_RANK = 1e-9
-TOL_STABILITY = 1e-8
+from .tolerances import DEFAULTS
 
 
 @dataclass(frozen=True)
@@ -78,9 +76,6 @@ class JordanForm:
                 groups.append((b.j, b.rapidity, [idx]))
         return groups
 
-    def pairing_map(self) -> dict[int, int]:
-        return dict(self.conjugate_pairing)
-
 
 def _delta(blocks, d: int) -> np.ndarray:
     """Delta: each block's rapidity on the diagonal, ones above it along the chain."""
@@ -92,10 +87,14 @@ def _delta(blocks, d: int) -> np.ndarray:
     return out
 
 
+def complex_abs(z: np.ndarray) -> np.ndarray:
+    """|z| rounded as Python's abs(complex) rounds it (np.abs can differ by an ulp)."""
+    return np.hypot(z.real, z.imag)
+
+
 def _distances(values: np.ndarray) -> np.ndarray:
-    """|w_i - w_j| for all pairs; hypot rounds as abs() of one complex scalar."""
-    diff = values[:, None] - values[None, :]
-    return np.hypot(diff.real, diff.imag)
+    """|w_i - w_j| for all pairs."""
+    return complex_abs(values[:, None] - values[None, :])
 
 
 def _cluster(values: np.ndarray, tol: float) -> list[list[int]]:
@@ -138,19 +137,6 @@ def _nullspace(mat: np.ndarray, nullity: int) -> np.ndarray:
     return vh[-nullity:, :].conj().T
 
 
-def _block_sizes_from_nullities(nullities: list[int]) -> list[int]:
-    """Block sizes (with multiplicity) from the nullity staircase nu_1 <= nu_2 <= ..."""
-    nu = [0] + nullities
-    nu.append(nu[-1])
-    sizes = []
-    for p in range(1, len(nu) - 1):
-        count = 2 * nu[p] - nu[p - 1] - nu[p + 1]
-        if count < 0:
-            raise InternalInvariantViolated("rank staircase is not a Jordan profile")
-        sizes.extend([p] * count)
-    return sorted(sizes, reverse=True)
-
-
 def _chains_for_rapidity(
     X: np.ndarray, beta: complex, multiplicity: int, tol_rank: float, x_norm: float
 ):
@@ -188,11 +174,11 @@ def _chains_for_rapidity(
             f"staircase nullity {nullities[-1]} != algebraic multiplicity "
             f"{multiplicity} for rapidity {beta}; tolerances inconsistent"
         )
-    sizes = _block_sizes_from_nullities(nullities)
+    per_size = dict(jordan_profile(nullities))
+    sizes = [size for size, count in per_size.items() for _ in range(count)]
 
     smax = len(nullities)
     nullbases = {k: _nullspace(powers[k - 1], nullities[k - 1]) for k in range(1, smax + 1)}
-    per_size = {k: sizes.count(k) for k in set(sizes)}
 
     chains: list[np.ndarray] = []  # each (d, length), columns v_1..v_length
     eps = np.finfo(float).eps
@@ -270,8 +256,8 @@ def _certified_singletons(
 
 def jordan_decompose(
     X: np.ndarray,
-    tol_cluster: float = TOL_CLUSTER,
-    tol_rank: float = TOL_RANK,
+    tol_cluster: float = DEFAULTS.tol_cluster,
+    tol_rank: float = DEFAULTS.tol_rank,
 ) -> JordanForm:
     """Jordan canonical form X = P Delta P^-1 of a real square matrix.
 
@@ -328,7 +314,7 @@ def jordan_decompose(
 
     entries.extend(mirrored)
 
-    flat = []  # (beta, size, chain, pair_token)
+    flat = []  # (beta, size, chain)
     for beta, sizes, chains in entries:
         for size, chain in zip(sizes, chains):
             flat.append([beta, size, chain])
@@ -343,7 +329,7 @@ def jordan_decompose(
     j_label = 0
     k_label = 0
     prev_beta = None
-    for rank_pos, i in enumerate(order):
+    for i in order:
         beta, size, chain = flat[i]
         if prev_beta is None or beta != prev_beta:
             j_label += 1
@@ -412,15 +398,11 @@ class StabilityReport:
         return tuple(c for c in self.classes if c.kind == "imaginary")
 
     @property
-    def strictly_stable(self) -> tuple[RapidityClass, ...]:
-        return tuple(c for c in self.classes if c.kind == "stable")
-
-    @property
     def all_strictly_stable(self) -> bool:
         return all(c.kind == "stable" for c in self.classes)
 
 
-def stability_check(jf: JordanForm, tol: float = TOL_STABILITY) -> StabilityReport:
+def stability_check(jf: JordanForm, tol: float = DEFAULTS.tol_stability) -> StabilityReport:
     """Classify rapidities and enforce the two stability guarantees.
 
     For X + X^T >= 0 every rapidity must satisfy Re beta >= 0 and every

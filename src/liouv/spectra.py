@@ -20,16 +20,16 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import SpectrumTooLarge
-from .rapidity import JordanForm, StabilityReport, spectral_gap, stability_check
+from .rapidity import JordanForm, StabilityReport, complex_abs, spectral_gap, stability_check
+from .tolerances import DEFAULTS
 
-DEFAULT_LIMIT = 10**6
-TOL_MERGE = 1e-8
-TOL_NESS = 1e-8
+# classify_ness builds all 2^k subset sums of the k zero/imaginary-axis modes
+AXIS_ENUMERATION_CAP = 2**22
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,6 @@ class LiouvilleanEigenvalue:
     occupation: tuple[tuple[tuple[int, int], int], ...]  # ((j, k), m) pairs
     subspace_dim: int
     max_jordan_block: int
-
-    def occupation_map(self) -> dict[tuple[int, int], int]:
-        return dict(self.occupation)
 
 
 @dataclass(frozen=True)
@@ -139,15 +136,10 @@ class SpectrumEnumeration:
         )
 
 
-def _hypot(z: np.ndarray) -> np.ndarray:
-    """|z| rounded as Python's abs(complex) rounds it (np.abs can differ by an ulp)."""
-    return np.hypot(z.real, z.imag)
-
-
 def enumerate_spectrum(
     jf: JordanForm,
-    limit: int = DEFAULT_LIMIT,
-    tol_merge: float = TOL_MERGE,
+    limit: int = DEFAULTS.spectrum_limit,
+    tol_merge: float = DEFAULTS.tol_merge,
 ) -> SpectrumEnumeration:
     """All occupation vectors, sorted by (Re, Im, occupation), plus a merged view.
 
@@ -185,9 +177,9 @@ def enumerate_spectrum(
     if total != 2**n2:
         raise AssertionError("dimension sum rule violated")  # unreachable
 
-    scale = float(_hypot(lam).max(initial=0.0))
+    scale = float(complex_abs(lam).max(initial=0.0))
     tol = tol_merge * max(scale, 1.0)
-    starts = np.flatnonzero(np.concatenate(([True], _hypot(np.diff(lam)) > tol)))
+    starts = np.flatnonzero(np.concatenate(([True], complex_abs(np.diff(lam)) > tol)))
     ends = np.append(starts[1:], len(lam))
     merged_dim = np.add.reduceat(dim, starts)
     merged_lam = _weighted_means(lam, dim, starts, ends, merged_dim)
@@ -246,9 +238,8 @@ class NessReport:
 
 def classify_ness(
     jf: JordanForm,
-    tol: float = TOL_NESS,
+    tol: float = DEFAULTS.tol_stability,
     stability: StabilityReport | None = None,
-    enumeration_cap: int = 2**22,
 ) -> NessReport:
     """Uniqueness iff all rapidities lie strictly off the imaginary axis.
 
@@ -280,7 +271,7 @@ def classify_ness(
                         imag_modes.append((j, jp, k, kp, "+"))
                         imag_modes.append((j, jp, k, kp, "-"))
 
-    if 2 ** len(axis_betas) > enumeration_cap:
+    if 2 ** len(axis_betas) > AXIS_ENUMERATION_CAP:
         raise SpectrumTooLarge(
             f"{len(axis_betas)} axis modes exceed the stationary-dim enumeration cap"
         )
@@ -291,7 +282,7 @@ def classify_ness(
     for bit, beta in enumerate(axis_betas):
         half = 2**bit
         sums[half:2 * half] = sums[:half] + complex(beta)
-    stationary = int(np.count_nonzero(_hypot(sums) <= tol * scale))
+    stationary = int(np.count_nonzero(complex_abs(sums) <= tol * scale))
 
     return NessReport(
         unique=report.all_strictly_stable,
@@ -321,8 +312,6 @@ def physicality_margin(Z: np.ndarray) -> float:
 
 def attach_covariance(report: NessReport, Z: np.ndarray, unique_Z: bool) -> NessReport:
     """Fill the covariance fields of a NESS report from a Lyapunov solution."""
-    from dataclasses import replace
-
     return replace(
         report,
         covariance=ness_covariance(Z),

@@ -1,0 +1,47 @@
+"""Every tolerance of the pipeline, with its default, in one validated object.
+
+Each stage's function reads its default from DEFAULTS; model files and CLI
+flags override fields of a Tolerances instance.  All thresholds are relative
+to a scale the stage documents (max|K|, ||X||_2, max|A|, ...).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, fields
+
+from .errors import InputError
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    tol_input: float = 1e-10
+    tol_build: float = 1e-12
+    tol_psd: float = 1e-10
+    tol_cluster: float = 1e-7
+    tol_rank: float = 1e-9
+    tol_stability: float = 1e-8
+    tol_lyap: float = 1e-8
+    tol_omega: float = 1e-8
+    tol_normal: float = 1e-8
+    tol_merge: float = 1e-8
+    spectrum_limit: int = 10**6
+
+    def __post_init__(self):
+        """Reject what would make a tolerance comparison meaningless: NaN,
+        infinities, non-positive values and booleans; the limit must be a
+        positive integer.  Model files and CLI flags both arrive here."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "spectrum_limit":
+                ok = isinstance(value, int) and not isinstance(value, bool) and value > 0
+                expected = "a positive integer"
+            else:
+                ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                      and math.isfinite(value) and value > 0)
+                expected = "a finite positive number"
+            if not ok:
+                raise InputError(f"tolerance '{f.name}': expected {expected}, got {value!r}")
+
+
+DEFAULTS = Tolerances()

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 from importlib.resources import files
@@ -204,6 +205,14 @@ def test_verify_nmax_exceeded_exit_2():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("nmax", ["abc", "0", "-2", "2.5"])
+def test_verify_bad_nmax_exit_2(nmax):
+    res = run_cli(["verify", model_path("ising_pair.json")], env={"LIOUV_NMAX": nmax})
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "LIOUV_NMAX" in res.stderr
+
+
 def test_verify_random_requires_n_and_seed():
     assert main(["verify", "--random"]) == 2
     assert main(["verify"]) == 2
@@ -217,6 +226,24 @@ def test_parse_accepts_bare_reals_and_rejects_garbage():
     bad = {"n": 1, "K": [[0, 0], [0, 0]], "lindblad": [["x", 0.0]]}
     with pytest.raises(ParseError, match=r"lindblad\[0\]\[0\]"):
         parse_model_dict(bad)
+
+
+@pytest.mark.parametrize("field, doc", [
+    ("'n'", {"n": True, "K": [[0, 0], [0, 0]], "lindblad": [[1, 0]]}),
+    ("K[0][1]", {"n": 1, "K": [[0, "0.35"], ["-0.35", 0]], "lindblad": [[1, 0]]}),
+    ("K[0][0]", {"n": 1, "K": [[False, True], [True, False]], "lindblad": [[1, 0]]}),
+    ("'K'", {"n": 1, "K": [[0, 10**400], [0, 0]], "lindblad": [[1, 0]]}),
+    ("lindblad[0][0]", {"n": 1, "K": [[0, 0], [0, 0]], "lindblad": [[[True, False], 0]]}),
+    ("lindblad[0][1]", {"n": 1, "K": [[0, 0], [0, 0]], "lindblad": [[1, True]]}),
+    ("lindblad[0][0]", {"n": 1, "K": [[0, 0], [0, 0]], "lindblad": [[10**400, 0]]}),
+])
+def test_parse_rejects_non_numbers(tmp_path, field, doc):
+    # strings and booleans used to be converted to numbers, exit 0
+    with pytest.raises(ParseError, match=re.escape(field)):
+        parse_model_dict(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 2
 
 
 def test_comb_outputs(capsys):
@@ -292,3 +319,39 @@ def test_analyze_empty_bath_model(tmp_path, capsys):
     assert report["ness"]["unique"] is False
     C = np.array([[complex(re, im) for re, im in row] for row in report["ness"]["covariance"]])
     np.testing.assert_allclose(C, np.eye(2), atol=1e-14)
+
+
+def test_report_matrices_match_element_loop():
+    # the report used to convert matrices element by element; tolist() must
+    # give the same JSON, -0.0 included
+    from liouv.analysis import analyze, build_report
+    from liouv.model import validate_model
+
+    K = np.array([[0.0, -0.0], [0.0, 0.0]])
+    model = validate_model(1, K, [np.array([complex(-0.0, 1.0), complex(0.5, -0.0)])])
+    result = analyze(model)
+    report = build_report(result)
+
+    def c(z):
+        z = complex(z)
+        return [float(z.real), float(z.imag)]
+
+    def cmat(m):
+        return [[c(v) for v in row] for row in np.asarray(m)]
+
+    def rmat(m):
+        return [[float(v) for v in row] for row in np.asarray(m)]
+
+    expected = {
+        ("input", "K"): rmat(model.K),
+        ("input", "lindblad"): [[c(v) for v in l] for l in model.lindblad_vectors],
+        ("bath", "M"): cmat(result.bath.M),
+        ("bath", "M_r"): rmat(result.bath.M_r),
+        ("bath", "M_i"): rmat(result.bath.M_i),
+        ("driving", "Z"): rmat(result.driving.Z),
+        ("ness", "covariance"): cmat(result.ness.covariance),
+    }
+    assert "-0.0" in json.dumps(report["input"])
+    assert json.dumps(report["X"]) == json.dumps(rmat(result.X))
+    for (section, key), ref in expected.items():
+        assert json.dumps(report[section][key]) == json.dumps(ref), key

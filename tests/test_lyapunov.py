@@ -12,6 +12,7 @@ from liouv.lyapunov import lyapunov_residual, solve_lyapunov
 from liouv.model import build_bath_matrices, build_X, validate_model
 from liouv.randmodel import random_axis_model, random_model
 from liouv.rapidity import jordan_decompose, stability_check
+from liouv.tolerances import DEFAULTS
 
 from conftest import GAMMA_M, GAMMA_P, J_COUPLING, ising_pair_model, single_qubit_model
 
@@ -237,7 +238,7 @@ def test_dense_path_does_not_load_scipy_linalg():
 def _jordan_path_reference(M_i, jf):
     """The per-position forward substitution the trivial-block path replaced,
     kept verbatim as the reference: (Z, omega_checks, free pair count)."""
-    tol, tol_omega = liouv.lyapunov.TOL_LYAP, liouv.lyapunov.TOL_OMEGA
+    tol, tol_omega = DEFAULTS.tol_lyap, DEFAULTS.tol_omega
     d = jf.dim
     scale = max(jf.x_norm, np.finfo(float).tiny)
     beta = np.zeros(d, dtype=complex)

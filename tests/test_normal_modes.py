@@ -11,18 +11,31 @@ from liouv.model import (
     validate_model,
 )
 from liouv.lyapunov import solve_lyapunov
-from liouv.normal_modes import (
-    build_V,
-    build_V0,
-    build_W,
-    build_W_inverse,
-    normal_form_coefficients,
-    reconstruct_structure_matrix,
-)
+from liouv.normal_modes import build_V, build_W, normal_form_coefficients
 from liouv.randmodel import random_model
 from liouv.rapidity import jordan_decompose
 
 from conftest import ising_pair_model, single_qubit_model
+
+
+def build_V0(jf):
+    """Zero-driving eigenvector matrix V_0 = (P^T (+) P^-1) U."""
+    d = jf.dim
+    U = tilde_unitary(d // 2)
+    V0 = np.zeros((2 * d, 2 * d), dtype=complex)
+    V0[:d, :] = np.hstack([jf.P.T, np.zeros((d, d))]) @ U
+    V0[d:, :] = np.hstack([np.zeros((d, d)), jf.P_inv]) @ U
+    return V0
+
+
+def reconstruct_structure_matrix(nmb, jf):
+    """V^T [[0, Delta], [-Delta^T, 0]] V; equals A when P, Z are consistent."""
+    d = jf.dim
+    delta = jf.delta()
+    core = np.zeros((2 * d, 2 * d), dtype=complex)
+    core[:d, d:] = delta
+    core[d:, :d] = -delta.T
+    return nmb.V.T @ core @ nmb.V
 
 
 def full_stage(model):
@@ -50,7 +63,7 @@ def test_W_inverse_and_tilde_form():
     Z = rng.standard_normal((6, 6))
     Z = (Z - Z.T) / 2
     W = build_W(Z)
-    Winv = build_W_inverse(Z)
+    Winv = build_W(-Z)
     assert np.abs(W @ Winv - np.eye(12)).max() < 1e-12
     # in the tilde representation the inverse is 1 + 4i sigma+ (x) Z
     U = tilde_unitary(3)
@@ -139,13 +152,13 @@ def test_normal_form_couplings():
     # all trivial blocks: no nilpotent couplings
     m = ising_pair_model()
     bath, X, sm, jf, ds = full_stage(m)
-    nf = normal_form_coefficients(build_V(jf, ds.Z), jf)
+    nf = normal_form_coefficients(jf)
     assert nf.coupling_count == 0
 
     # defective qubit: exactly one coupling
     m = single_qubit_model()
     bath, X, sm, jf, ds = full_stage(m)
-    nf = normal_form_coefficients(build_V(jf, ds.Z), jf)
+    nf = normal_form_coefficients(jf)
     assert nf.coupling_count == 1
     assert nf.blocks[0].diagonal_coefficient == pytest.approx(-4.0, abs=1e-8)
 
@@ -154,7 +167,7 @@ def test_rapidity_trace_matches_A0():
     for seed in range(5):
         m = random_model(3, seed=seed)
         bath, X, sm, jf, ds = full_stage(m)
-        nf = normal_form_coefficients(build_V(jf, ds.Z), jf)
+        nf = normal_form_coefficients(jf)
         assert abs(nf.rapidity_trace() - sm.A0) < 1e-10 * max(sm.A0, 1.0)
 
 

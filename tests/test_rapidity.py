@@ -60,7 +60,7 @@ def test_reconstruction_and_completeness():
 def test_conjugate_pairing_and_real_columns():
     X = model_X(ising_pair_model())
     jf = jordan_decompose(X)
-    pairing = jf.pairing_map()
+    pairing = dict(jf.conjugate_pairing)
     for idx, b in enumerate(jf.blocks):
         partner = jf.blocks[pairing[idx]]
         assert partner.rapidity == b.rapidity.conjugate()
@@ -166,7 +166,7 @@ def test_complex_defective_conjugate_pair():
         [r for r, _ in got], [complex(a, -b), complex(a, b)], atol=1e-8
     )
     assert jf.reconstruction_residual < 1e-10
-    pm = jf.pairing_map()
+    pm = dict(jf.conjugate_pairing)
     for i, blk in enumerate(jf.blocks):
         partner = jf.blocks[pm[i]]
         cols = jf.P[:, blk.chain_start : blk.chain_start + blk.size]
@@ -310,7 +310,7 @@ def test_singleton_fast_path_matches_staircase(monkeypatch, make):
         p = jf.P[:, b.chain_start]
         assert np.linalg.norm(p) == pytest.approx(1.0, abs=1e-14)
         assert np.linalg.norm(X @ p - b.rapidity * p) <= 1e-12 * jf.x_norm
-        partner = jf.blocks[jf.pairing_map()[idx]]
+        partner = jf.blocks[dict(jf.conjugate_pairing)[idx]]
         assert np.array_equal(jf.P[:, partner.chain_start], p.conj())
         if b.rapidity.imag == 0:
             assert not p.imag.any()
