@@ -9,7 +9,7 @@ Jordan-block bounds, NESS classification and steady-state covariance follow.
 A dense brute-force oracle cross-checks everything at small fermion number.
 """
 
-from .analysis import AnalysisResult, analyze, build_report, render_text
+from .analysis import AnalysisResult, analyze, build_report, dumps_report, render_text
 from .combinatorics import (
     JordanBlockMultiset,
     nilpotent_blocks,
@@ -84,6 +84,7 @@ __all__ = [
     "build_W",
     "build_X",
     "classify_ness",
+    "dumps_report",
     "enumerate_spectrum",
     "jordan_decompose",
     "lyapunov_residual",

@@ -2,13 +2,17 @@
 
 `analyze` returns the rich result objects; `build_report` flattens them into a
 JSON-native dict (complex numbers as [re, im] pairs, deterministic orderings)
-that round-trips through serialization unchanged; `render_text` produces the
-human-readable table view.
+that round-trips through serialization unchanged; `dumps_report` writes it as
+`json.dumps(report, indent=2)` does; `render_text` produces the human-readable
+table view.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _jstr
 
 import numpy as np
 
@@ -36,7 +40,7 @@ from .spectra import (
     classify_ness,
     enumerate_spectrum,
 )
-from .tolerances import DEFAULTS, Tolerances
+from .tolerances import DEFAULTS, PHYSICALITY_BOUND, Tolerances
 
 WARN_ILL_CONDITIONED = "ill_conditioned_jordan"
 WARN_COV_NOT_UNIQUE = "covariance_not_unique"
@@ -90,7 +94,7 @@ def analyze(
         warnings.append(WARN_ILL_CONDITIONED)
     if not driving.unique:
         warnings.append(WARN_COV_NOT_UNIQUE)
-    if ness.physicality_margin is not None and ness.physicality_margin > 1 + 1e-7:
+    if ness.physicality_margin is not None and ness.physicality_margin > PHYSICALITY_BOUND:
         warnings.append(WARN_PHYSICALITY)
 
     spectrum = None
@@ -248,6 +252,111 @@ def build_report(result: AnalysisResult, full_spectrum: bool = False) -> dict:
             ]
         report["spectrum"] = spec
     return report
+
+
+def _template(values, nl: str):
+    """(template, columns): one %-template that writes each of `values` at
+    indent `nl`, and the columns of leaf values it takes, in order.
+
+    None unless the values share one shape, with every leaf column of one
+    exact type: finite float, int, bool, str or None.  Anything else (NaN,
+    np.float64, True among ints, ragged lists) is left to `_encode`.
+    """
+    kinds = set(map(type, values))
+    if len(kinds) != 1:
+        return None
+    kind = kinds.pop()
+    if kind is float:
+        return ("%r", [values]) if all(map(math.isfinite, values)) else None
+    if kind is int:
+        return "%d", [values]
+    if kind is bool:
+        return "%s", [list(map(("false", "true").__getitem__, values))]
+    if kind is str:
+        return "%s", [list(map(_jstr, values))]
+    if kind is type(None):
+        return "null", []
+    if kind is list:
+        sizes = set(map(len, values))
+        if len(sizes) != 1:
+            return None
+        brackets, keys = "[]", range(sizes.pop())
+        labels = [""] * len(keys)
+    elif kind is dict:
+        keys = set(map(tuple, values))
+        if len(keys) != 1:
+            return None
+        keys = keys.pop()
+        if not set(map(type, keys)) <= {str}:
+            return None
+        brackets, labels = "{}", [_jstr(k).replace("%", "%%") + ": " for k in keys]
+    else:
+        return None
+    if not labels:
+        return brackets, []
+    inner = nl + "  "
+    fields = [_template(list(map(kind.__getitem__, values, repeat(k))), inner) for k in keys]
+    if None in fields:
+        return None
+    body = ("," + inner).join(label + t for label, (t, _) in zip(labels, fields))
+    return brackets[0] + inner + body + nl + brackets[1], [c for _, cs in fields for c in cs]
+
+
+def _encode(o, nl: str) -> str:
+    """json's indent-2 text of `o`, whose first line sits at indent `nl`."""
+    if isinstance(o, str):
+        return _jstr(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if math.isfinite(o):
+            return float.__repr__(o)
+        return "NaN" if o != o else ("Infinity" if o > 0 else "-Infinity")
+    inner = nl + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        fast = _template(o, inner)
+        if fast is None or not fast[1]:
+            items = [_encode(v, inner) for v in o]
+        elif fast[0] == "%r":
+            items = map(float.__repr__, o)
+        else:
+            items = map(fast[0].__mod__, zip(*fast[1]))
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            _key(k) + ": " + _encode(v, inner) for k, v in o.items()
+        ) + nl + "}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return _jstr(k)
+    if k is None or isinstance(k, (int, float)):
+        return _jstr(_encode(k, ""))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def dumps_report(report) -> str:
+    """`json.dumps(report, indent=2)`, byte for byte, for JSON-native input.
+
+    With `indent`, json falls back to its pure-Python encoder, one generator
+    step per value.  Here every list whose items share one shape (float runs,
+    matrix rows, [re, im] pairs, spectrum records) is written by one
+    %-template per item, built once from the shape; the rest follows json's
+    own rules.
+    """
+    return _encode(report, "\n")
 
 
 def _fmt_c(pair) -> str:

@@ -12,18 +12,22 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
 
 from . import combinatorics as comb
 from . import oracle
-from .analysis import analyze, build_report, render_text
+from .analysis import analyze, build_report, dumps_report, render_text
 from .errors import InputError, InternalInvariantViolated
 from .io import load_model
 from .randmodel import random_model
-from .tolerances import Tolerances
+from .tolerances import (
+    VERIFY_COVARIANCE_MAX,
+    VERIFY_QUADRATIC_FORM_MAX,
+    VERIFY_SPECTRUM_MAX,
+    Tolerances,
+)
 
 _TOLERANCE_FLAGS = [f.name for f in dataclasses.fields(Tolerances) if f.name != "spectrum_limit"]
 
@@ -51,7 +55,7 @@ def cmd_analyze(args) -> int:
     result = analyze(model, tolerances)
     report = build_report(result, full_spectrum=args.full_spectrum)
     if args.format == "json":
-        text = json.dumps(report, indent=2) + "\n"
+        text = dumps_report(report) + "\n"
     else:
         text = render_text(report)
     if args.output:
@@ -73,6 +77,8 @@ def cmd_verify(args) -> int:
             raise InputError("give a model file or --random")
         model, _ = load_model(args.model_file)
         label = args.model_file
+    # fail on the oracle's size limit before any work or output
+    oracle.check_size(model.n)
     result = analyze(model)
 
     print(f"verify {label}: n={model.n}")
@@ -103,10 +109,10 @@ def cmd_verify(args) -> int:
         print(f"  covariance deviation: {cov_dev:.3e}{qualifier}")
 
     ok = (
-        qf.residual < 1e-9
-        and spec_dev < 1e-7
+        qf.residual < VERIFY_QUADRATIC_FORM_MAX
+        and spec_dev < VERIFY_SPECTRUM_MAX
         and kernel_ok
-        and (cov_dev is None or cov_dev < 1e-7)
+        and (cov_dev is None or cov_dev < VERIFY_COVARIANCE_MAX)
     )
     print("PASS" if ok else "FAIL")
     if not ok:

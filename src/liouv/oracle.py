@@ -24,6 +24,7 @@ from .model import (
     build_structure_matrix,
     odd_sector_structure_matrix,
 )
+from .tolerances import ORACLE_TOL_RANK
 
 DEFAULT_NMAX = 5
 
@@ -46,7 +47,8 @@ def resolve_nmax(n_max: int | None = None) -> int:
     return value
 
 
-def _check_size(n: int, n_max: int | None):
+def check_size(n: int, n_max: int | None = None):
+    """Raise TooLarge when n exceeds the oracle limit `resolve_nmax(n_max)`."""
     limit = resolve_nmax(n_max)
     if n > limit:
         raise TooLarge(f"n = {n} exceeds the oracle limit n_max = {limit}")
@@ -63,7 +65,7 @@ class MajoranaRep:
 def majorana_ops(n: int, n_max: int | None = None) -> MajoranaRep:
     """Jordan-Wigner Majoranas: w_{2j-1}, w_{2j} act on site j with sigma^3
     strings on the sites before it."""
-    _check_size(n, n_max)
+    check_size(n, n_max)
     ws = []
     for j in range(n):
         string = [_SIGMA3] * j
@@ -111,7 +113,7 @@ def build_superoperator(model: QuadraticLindbladModel, n_max: int | None = None)
     functional must annihilate the generator from the left (machine
     precision); a violation means the assembly is broken.
     """
-    _check_size(model.n, n_max)
+    check_size(model.n, n_max)
     rep = majorana_ops(model.n, n_max)
     dim = 2**model.n
     eye = np.eye(dim, dtype=complex)
@@ -138,7 +140,7 @@ def _alpha_tuples(n: int) -> list[tuple[int, ...]]:
 
 def pauli_basis_matrices(n: int, n_max: int | None = None) -> list[np.ndarray]:
     """Orthonormal Majorana monomials P_alpha = 2^{-n/2} w_1^a1 ... w_2n^a2n."""
-    _check_size(n, n_max)
+    check_size(n, n_max)
     rep = majorana_ops(n, n_max)
     dim = 2**n
     out = []
@@ -174,7 +176,7 @@ class FockMaps:
 
 
 def build_fock_maps(n: int, n_max: int | None = None) -> FockMaps:
-    _check_size(n, n_max)
+    check_size(n, n_max)
     d = 2 * n
     dim = 4**n
     alphas = _alpha_tuples(n)
@@ -242,7 +244,7 @@ def verify_quadratic_form(
 ) -> QuadraticFormReport:
     """Compare the dense generator, rotated to the P_alpha basis, with the
     quadratic form in the Fock maps, per parity sector."""
-    _check_size(model.n, n_max)
+    check_size(model.n, n_max)
     bath = bath if bath is not None else build_bath_matrices(model)
     structure = structure if structure is not None else build_structure_matrix(model, bath)
     sup = build_superoperator(model, n_max)
@@ -321,7 +323,7 @@ def oracle_ness(
     directions on a coarse grid, positivity-checked; with more directions
     only the trace-normalized base point is tried.
     """
-    _check_size(model.n, n_max)
+    check_size(model.n, n_max)
     sup = build_superoperator(model, n_max)
     dim = 2**model.n
     _, s, vh = np.linalg.svd(sup.matrix)
@@ -416,7 +418,7 @@ def match_multisets(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def largest_jordan_block_at(
-    S: np.ndarray, lam: complex, multiplicity: int, tol_rank: float = 1e-7
+    S: np.ndarray, lam: complex, multiplicity: int, tol_rank: float = ORACLE_TOL_RANK
 ) -> int:
     """Size of the largest Jordan block of S in the eigenvalue cluster at lam.
 

@@ -3,6 +3,9 @@
 Each stage's function reads its default from DEFAULTS; model files and CLI
 flags override fields of a Tolerances instance.  All thresholds are relative
 to a scale the stage documents (max|K|, ||X||_2, max|A|, ...).
+
+The module constants below are fixed thresholds that judge results rather
+than steer the pipeline; no model file or flag sets them.
 """
 
 from __future__ import annotations
@@ -45,3 +48,13 @@ class Tolerances:
 
 
 DEFAULTS = Tolerances()
+
+
+# `liouv verify` passes when the oracle agrees within these (absolute)
+VERIFY_QUADRATIC_FORM_MAX = 1e-9
+VERIFY_SPECTRUM_MAX = 1e-7
+VERIFY_COVARIANCE_MAX = 1e-7
+# `analyze` warns physicality_bound_exceeded when |4Z| exceeds this
+PHYSICALITY_BOUND = 1 + 1e-7
+# relative SVD rank cut of the oracle's dense Jordan-block staircase
+ORACLE_TOL_RANK = 1e-7

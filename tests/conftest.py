@@ -54,6 +54,21 @@ def ising_pair_display_model(g1=GAMMA1, g2=GAMMA2, j=J_COUPLING):
     return validate_model(2, K, [l1, l2])
 
 
+def seventy_block_result():
+    """The single-qubit analysis with its spectrum replaced by that of one
+    70-block: 4^35 = 2^70 overflows int64, so the dims are Python ints."""
+    import dataclasses
+
+    from liouv.analysis import analyze
+    from liouv.rapidity import JordanBlockDescriptor, JordanForm
+    from liouv.spectra import enumerate_spectrum
+
+    blocks = (JordanBlockDescriptor(1.0 + 0j, 70, 0, 1, 1),)
+    P = np.eye(70, dtype=complex)
+    jf = JordanForm(P, P, blocks, ((0, 0),), 1.0, 1.0, 0.0, False)
+    return dataclasses.replace(analyze(single_qubit_model()), spectrum=enumerate_spectrum(jf))
+
+
 def pipeline_stage(model):
     bath = build_bath_matrices(model)
     X = build_X(model, bath)

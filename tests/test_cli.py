@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 import subprocess
 import sys
@@ -7,11 +8,16 @@ from importlib.resources import files
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import liouv.cli
+from liouv.analysis import analyze, build_report, dumps_report
 from liouv.cli import main
 from liouv.io import load_model, parse_model_dict
 from liouv.errors import ParseError
+from liouv.randmodel import random_model
+
+from conftest import seventy_block_result
 
 MODELS = files("liouv") / "models"
 
@@ -213,6 +219,27 @@ def test_verify_bad_nmax_exit_2(nmax):
     assert "LIOUV_NMAX" in res.stderr
 
 
+@pytest.mark.parametrize("argv, nmax", [
+    (["verify", model_path("ising_pair.json")], "1"),
+    (["verify", model_path("ising_pair.json")], "abc"),
+    (["verify", "--random", "--n", "7", "--seed", "1"], None),
+])
+def test_verify_size_error_before_any_output(monkeypatch, capsys, argv, nmax):
+    if nmax is None:
+        monkeypatch.delenv("LIOUV_NMAX", raising=False)
+    else:
+        monkeypatch.setenv("LIOUV_NMAX", nmax)
+
+    def no_analyze(*args, **kwargs):
+        raise AssertionError("analyze ran before the oracle size check")
+
+    monkeypatch.setattr(liouv.cli, "analyze", no_analyze)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_verify_random_requires_n_and_seed():
     assert main(["verify", "--random"]) == 2
     assert main(["verify"]) == 2
@@ -355,3 +382,77 @@ def test_report_matrices_match_element_loop():
     assert json.dumps(report["X"]) == json.dumps(rmat(result.X))
     for (section, key), ref in expected.items():
         assert json.dumps(report[section][key]) == json.dumps(ref), key
+
+
+def assert_dumps_like_json(report):
+    assert dumps_report(report) == json.dumps(report, indent=2)
+
+
+@pytest.mark.parametrize("name", ["single_qubit.json", "ising_pair.json", "ising_chain_3.json"])
+@pytest.mark.parametrize("full", [False, True])
+def test_analyze_json_is_json_dumps_indent_2(capsys, name, full):
+    argv = ["analyze", model_path(name), "--format", "json"] + ["--full-spectrum"] * full
+    assert main(argv) == 0
+    model, tolerances = load_model(model_path(name))
+    report = build_report(analyze(model, tolerances), full_spectrum=full)
+    assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_dumps_report_matches_json_random(n):
+    # the full listing of n = 7, 8 (16,384 and 65,536 entries) is left to the
+    # merged view, which has about as many records and the same kinds of fields
+    assert_dumps_like_json(build_report(analyze(random_model(n, n)), full_spectrum=n <= 6))
+
+
+def test_dumps_report_matches_json_dims_past_int64():
+    report = build_report(seventy_block_result(), full_spectrum=True)
+    assert report["spectrum"]["total_dim"] == 2**70
+    assert_dumps_like_json(report)
+
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                -1.7976931348623157e308, math.nan, math.inf, -math.inf]
+_FLOATS = st.floats() | st.sampled_from(_EDGE_FLOATS)
+_INTS = st.integers(-(2**80), 2**80)  # past 2^63 both ways
+_TEXT = st.text(max_size=6) | st.sampled_from(['"', "\\", "%s", "%%d", "\x00\x1f\x7f", "é∞😀"])
+# the odd items a fast path must leave alone: json writes bool and
+# np.float64 its own way, and NaN / Infinity are not float reprs
+_ODD = st.sampled_from([True, False, 1, 0, None, np.float64(0.5), np.float64(math.nan), "x"])
+_SCALARS = (_FLOATS | _INTS | st.booleans() | st.none() | _TEXT
+            | st.builds(np.float64, _FLOATS))
+# json also takes int, float, bool and None keys and writes them as strings
+_KEYS = _TEXT | _INTS | _FLOATS | st.booleans() | st.none()
+_PAIR = st.lists(_FLOATS, min_size=2, max_size=2)
+_SHAPED = st.one_of(
+    st.lists(_FLOATS | _ODD, max_size=6),  # float runs, True / 1 / np.float64 inside
+    st.lists(st.tuples(_INTS, _FLOATS).map(list), max_size=4),  # like omega_checks
+    st.integers(0, 3).flatmap(  # matrices and [re, im] rows
+        lambda k: st.lists(st.lists(_PAIR | _FLOATS, min_size=k, max_size=k), max_size=4)),
+    st.lists(st.fixed_dictionaries({  # like spectrum.merged
+        "lambda": _PAIR,
+        "total_dim": _INTS,
+        "max_jordan_block": st.integers(1, 9) | _ODD,
+        "lower_bound": st.booleans(),
+    }), max_size=4),
+    st.lists(st.dictionaries(_KEYS, _SCALARS, max_size=2), max_size=3),
+)
+_TREES = st.recursive(
+    _SCALARS | _SHAPED,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_KEYS, children, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_dumps_report_matches_json_property(tree):
+    assert_dumps_like_json(tree)
+
+
+@pytest.mark.parametrize("bad", [{"a": np.int64(1)}, [np.bool_(True)], {(1, 2): 0}, [{1, 2}]])
+def test_dumps_report_rejects_what_json_rejects(bad):
+    with pytest.raises(TypeError):
+        json.dumps(bad, indent=2)
+    with pytest.raises(TypeError):
+        dumps_report(bad)

@@ -225,9 +225,11 @@ def test_dense_path_refuses_unconverged_iteration(monkeypatch):
 def test_dense_path_does_not_load_scipy_linalg():
     code = (
         "import sys\n"
-        "from liouv.analysis import analyze\n"
+        "from liouv.analysis import analyze, build_report, dumps_report\n"
         "from liouv.randmodel import random_model\n"
-        "assert analyze(random_model(3, 0)).driving.method == 'dense'\n"
+        "result = analyze(random_model(3, 0))\n"
+        "assert result.driving.method == 'dense'\n"
+        "dumps_report(build_report(result))\n"
         "print('scipy.linalg' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

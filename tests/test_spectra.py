@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -26,6 +25,7 @@ from conftest import (
     GAMMA_P,
     J_COUPLING,
     ising_pair_model,
+    seventy_block_result,
     single_qubit_model,
 )
 
@@ -337,20 +337,16 @@ def test_array_enumeration_matches_reference_rotated_critical_qubits():
 
 def test_dimensions_past_int64_stay_exact():
     # one 70-block: 4^35 = 2^70 overflows int64, so dims are Python ints
-    from liouv.analysis import analyze, build_report
-    from liouv.rapidity import JordanBlockDescriptor, JordanForm
+    from liouv.analysis import build_report
 
-    blocks = (JordanBlockDescriptor(1.0 + 0j, 70, 0, 1, 1),)
-    P = np.eye(70, dtype=complex)
-    jf = JordanForm(P, P, blocks, ((0, 0),), 1.0, 1.0, 0.0, False)
-    spec = enumerate_spectrum(jf)
+    result = seventy_block_result()
+    spec = result.spectrum
     assert spec.total_dim == 2**70
     assert [e.subspace_dim for e in spec.entries] == [math.comb(70, m) for m in range(70, -1, -1)]
     assert all(type(e.subspace_dim) is int for e in spec.entries)
     assert all(type(e.total_dim) is int for e in spec.merged)
     assert sum(e.total_dim for e in spec.merged) == 2**70
 
-    result = dataclasses.replace(analyze(single_qubit_model()), spectrum=spec)
     report = json.loads(json.dumps(build_report(result, full_spectrum=True)))["spectrum"]
     # json writes a float dimension with an exponent and reads it back as a float
     assert type(report["total_dim"]) is int and report["total_dim"] == 2**70
