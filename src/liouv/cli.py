@@ -66,10 +66,20 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _require(ok: bool, message: str):
+    """Reject an out-of-range integer argument as an input error (exit 2)."""
+    if not ok:
+        raise InputError(message)
+
+
 def cmd_verify(args) -> int:
     if args.random:
         if args.n is None or args.seed is None:
             raise InputError("--random requires --n and --seed")
+        _require(args.n >= 1, f"--n: expected a positive integer, got {args.n}")
+        _require(args.seed >= 0, f"--seed: expected a nonnegative integer, got {args.seed}")
+        _require(args.vectors is None or args.vectors >= 0,
+                 f"--vectors: expected a nonnegative integer, got {args.vectors}")
         model = random_model(args.n, args.seed, args.vectors)
         label = f"random model n={args.n} seed={args.seed}"
     else:
@@ -82,17 +92,18 @@ def cmd_verify(args) -> int:
     result = analyze(model)
 
     print(f"verify {label}: n={model.n}")
-    qf = oracle.verify_quadratic_form(model, structure=result.structure, bath=result.bath)
+    sup = oracle.build_superoperator(model)
+    qf = oracle.verify_quadratic_form(model, structure=result.structure, bath=result.bath,
+                                      superoperator=sup)
     print(f"  quadratic-form residual: even {qf.residual_even:.3e}, "
           f"odd {qf.residual_odd:.3e}, parity leak {qf.parity_leak:.3e}")
 
-    sup = oracle.build_superoperator(model)
-    dense = np.sort_complex(np.linalg.eigvals(sup.matrix))
+    # the sector eigenvalues are the spectrum because the leak gates PASS below
     theory = oracle.eigenvalue_multiset_from_enumeration(result.spectrum.entries)
-    spec_dev = oracle.match_multisets(theory, dense)
+    spec_dev = oracle.match_multisets(theory, np.sort_complex(qf.eigenvalues()))
     print(f"  spectrum multiset deviation: {spec_dev:.3e}")
 
-    ness = oracle.oracle_ness(model)
+    ness = oracle.oracle_ness(model, superoperator=sup)
     kernel_ok = ness.kernel_dim == result.ness.stationary_dim
     print(f"  kernel dim {ness.kernel_dim} vs stationary_dim {result.ness.stationary_dim}: "
           f"{'ok' if kernel_ok else 'MISMATCH'}")
@@ -110,6 +121,7 @@ def cmd_verify(args) -> int:
 
     ok = (
         qf.residual < VERIFY_QUADRATIC_FORM_MAX
+        and qf.parity_leak < VERIFY_QUADRATIC_FORM_MAX
         and spec_dev < VERIFY_SPECTRUM_MAX
         and kernel_ok
         and (cov_dev is None or cov_dev < VERIFY_COVARIANCE_MAX)
@@ -121,6 +133,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_comb(args) -> int:
+    if args.comb_command in ("restricted-binomial", "nilpotent-blocks"):
+        _require(0 <= args.m <= args.l, f"need 0 <= m <= l, got l={args.l}, m={args.m}")
+    elif args.comb_command == "tensor-blocks":
+        _require(args.k >= 1 and args.l >= 1,
+                 f"block sizes must be positive, got k={args.k}, l={args.l}")
+    else:
+        _require(args.l >= 0, f"need l >= 0, got l={args.l}")
     if args.comb_command == "restricted-binomial":
         print(" ".join(str(v) for v in comb.restricted_binomial_row(args.l, args.m)))
     elif args.comb_command == "tensor-blocks":

@@ -16,7 +16,6 @@ from functools import lru_cache
 
 from ._intlinalg import (
     IntMatrix,
-    int_matmul,
     int_rank,
     jordan_profile,
     nilpotent_staircase,
@@ -183,24 +182,39 @@ def nilpotent_map_matrix(l: int, m: int, limit: int = DEFAULT_DIMENSION_LIMIT) -
     return mat
 
 
-def _level_matrices(l: int, m: int) -> tuple[list[int], list[IntMatrix]]:
-    """Dimensions of the weight levels and the hop blocks B_r: level r -> r+1."""
+def _level_hops(l: int, m: int) -> tuple[list[int], list[list[list[int]]]]:
+    """Dimensions of the weight levels and the hop blocks B_r: level r -> r+1
+    as 0/1 matrices by rows: hops[r][i] lists the level-r states B_r sends to
+    state i of level r+1."""
     states = _subset_states(l, m)
     rmax = m * (l - m)
     level_states: list[list[tuple[int, ...]]] = [[] for _ in range(rmax + 1)]
     for nu in states:
         level_states[weight(nu)].append(nu)
     dims = [len(s) for s in level_states]
-    blocks = []
+    hops = []
     for r in range(rmax):
         idx = {nu: i for i, nu in enumerate(level_states[r + 1])}
-        b = [[0] * dims[r] for _ in range(dims[r + 1])]
+        rows: list[list[int]] = [[] for _ in range(dims[r + 1])]
         for col, nu in enumerate(level_states[r]):
             for k in range(l - 1):
                 if nu[k] == 1 and nu[k + 1] == 0:
                     hopped = list(nu)
                     hopped[k], hopped[k + 1] = 0, 1
-                    b[idx[tuple(hopped)]][col] = 1
+                    rows[idx[tuple(hopped)]].append(col)
+        hops.append(rows)
+    return dims, hops
+
+
+def _level_matrices(l: int, m: int) -> tuple[list[int], list[IntMatrix]]:
+    """Dimensions of the weight levels and the hop blocks B_r as dense matrices."""
+    dims, hops = _level_hops(l, m)
+    blocks = []
+    for r, rows in enumerate(hops):
+        b = [[0] * dims[r] for _ in rows]
+        for row, cols in zip(b, rows):
+            for col in cols:
+                row[col] = 1
         blocks.append(b)
     return dims, blocks
 
@@ -230,25 +244,44 @@ def conjectured_blocks(l: int, m: int) -> JordanBlockMultiset:
 def nilpotent_blocks(l: int, m: int, limit: int = DEFAULT_DIMENSION_LIMIT) -> NilpotentBlocksReport:
     """Ground-truth Jordan blocks of the m-particle hopping map.
 
-    Computed from the exact rank staircase, block by weight level (the map is
-    strictly weight-graded, so rank(M^p) decomposes over the level chains).
+    Computed from the exact rank staircase, block by weight level: the map is
+    strictly weight-graded, so rank(M^p) is the sum over r of the ranks of the
+    chains P_{r,p} = B_{r+p-1} ... B_r from level r to level r+p.  Only the
+    central chains, from a level r < w/2 to its mirror level w-r (w = m(l-m)),
+    get an exact Bareiss rank.  A prefix of an injective chain is injective
+    and a suffix of a surjective one is surjective, so every other chain has
+    rank dims[r] or dims[r+p] when the central chains are bijective; any chain
+    that argument leaves open gets a Bareiss rank too.
     """
     dim = math.comb(l, m)
     if dim > limit:
         raise TooLarge(f"sector dimension C({l},{m}) = {dim} exceeds limit {limit}")
-    dims, level_blocks = _level_matrices(l, m)
-    rmax = m * (l - m)
+    dims, hops = _level_hops(l, m)
+    w = m * (l - m)
+    # powers[r][p] = P_{r,p}, built on demand from the identity P_{r,0}
+    powers = [[[[int(i == j) for j in range(k)] for i in range(k)]] for k in dims[:w]]
+
+    def chain(r: int, p: int) -> IntMatrix:
+        path = powers[r]
+        zero = [0] * dims[r]
+        while len(path) <= p:
+            last = path[-1]
+            # row i of B P is the exact sum of the rows of P that the 0/1 map B selects
+            path.append([list(map(sum, zip(*(last[k] for k in sel)))) if sel else zero
+                         for sel in hops[r + len(path) - 1]])
+        return path[p]
+
+    central = {r: int_rank(chain(r, w - 2 * r)) for r in range((w + 1) // 2)}
     ranks = []
-    # chains[r] accumulates B_{r+p-1} ... B_r while p grows
-    chains: dict[int, IntMatrix] = {r: level_blocks[r] for r in range(rmax)}
-    for p in range(1, rmax + 2):
-        if p > 1:
-            chains = {
-                r: int_matmul(level_blocks[r + p - 1], c)
-                for r, c in chains.items()
-                if r + p - 1 < rmax
-            }
-        total = sum(int_rank(c) for c in chains.values())
+    for p in range(1, w + 2):
+        total = 0
+        for r in range(w + 1 - p):
+            if r + p <= w - r and central[r] == dims[r]:
+                total += dims[r]
+            elif w - r - p <= r and central[w - r - p] == dims[r + p]:
+                total += dims[r + p]
+            else:
+                total += int_rank(chain(r, p))
         ranks.append(total)
         if total == 0:
             break

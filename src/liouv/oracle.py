@@ -2,8 +2,8 @@
 
 Explicit Jordan-Wigner Majorana matrices on the 2^n Hilbert space, the dense
 4^n x 4^n Lindblad superoperator (column-stacked vec convention), the
-creation/annihilation maps on the operator Fock basis P_alpha, and the
-comparisons that pin the fast path: the quadratic-form identity per parity
+Majorana maps on the operator Fock basis P_alpha as signed permutations, and
+the comparisons that pin the fast path: the quadratic-form identity per parity
 sector, spectrum multisets, and steady-state correlators.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -132,10 +132,10 @@ def build_superoperator(model: QuadraticLindbladModel, n_max: int | None = None)
     return Superoperator(model.n, S, residual)
 
 
-def _alpha_tuples(n: int) -> list[tuple[int, ...]]:
-    """Occupation multi-indices alpha, alpha_1 the least significant bit."""
-    d = 2 * n
-    return [tuple((idx >> j) & 1 for j in range(d)) for idx in range(4**n)]
+def _alpha_bits(n: int) -> np.ndarray:
+    """Occupations of the P_alpha basis, (2n, 4^n): alpha_{j+1} of basis index
+    idx is bit j of idx."""
+    return (np.arange(4**n)[None, :] >> np.arange(2 * n)[:, None]) & 1
 
 
 def pauli_basis_matrices(n: int, n_max: int | None = None) -> list[np.ndarray]:
@@ -144,7 +144,7 @@ def pauli_basis_matrices(n: int, n_max: int | None = None) -> list[np.ndarray]:
     rep = majorana_ops(n, n_max)
     dim = 2**n
     out = []
-    for alpha in _alpha_tuples(n):
+    for alpha in _alpha_bits(n).T:
         mat = np.eye(dim, dtype=complex) * 2 ** (-n / 2)
         for j, bit in enumerate(alpha):
             if bit:
@@ -159,61 +159,48 @@ def fock_basis_transform(n: int, n_max: int | None = None) -> np.ndarray:
     return np.column_stack([m.reshape(-1, order="F") for m in mats])
 
 
-@dataclass(frozen=True)
-class FockMaps:
-    """Creation/annihilation maps over the operator Fock space.
+def fock_parity_even(n: int) -> np.ndarray:
+    """Mask of the even-parity P_alpha, (-1)^{|alpha|} = 1."""
+    return _alpha_bits(n).sum(axis=0) % 2 == 0
 
-    a lists the 4n Hermitian Majorana maps, first the (c+c')/sqrt2 block then
-    the i(c-c')/sqrt2 block, matching the structure-matrix ordering.  parity
-    is diag((-1)^{|alpha|}).
+
+def fock_majoranas(n: int, n_max: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The 4n Hermitian Majorana maps a_p of the operator Fock space, each a
+    signed permutation: a_p sends P_col to values[p, col] P_{col ^ flips[p]}.
+
+    a_j = (c_j + c_j')/sqrt2 and a_{2n+j} = i(c_j - c_j')/sqrt2 for j < 2n, the
+    structure-matrix ordering; c_j clears bit j of alpha and c_j' sets it, both
+    with the Jordan-Wigner sign (-1)^(alpha_1 + ... + alpha_j) of the bits below.
     """
-
-    n: int
-    c: tuple[np.ndarray, ...]
-    c_dag: tuple[np.ndarray, ...]
-    a: tuple[np.ndarray, ...]
-    parity: np.ndarray
-
-
-def build_fock_maps(n: int, n_max: int | None = None) -> FockMaps:
     check_size(n, n_max)
     d = 2 * n
-    dim = 4**n
-    alphas = _alpha_tuples(n)
-    index = {a: i for i, a in enumerate(alphas)}
-    cs = []
-    cds = []
-    for j in range(d):
-        c = np.zeros((dim, dim), dtype=complex)
-        cd = np.zeros((dim, dim), dtype=complex)
-        for a, col in index.items():
-            sign = (-1) ** sum(a[:j])
-            flipped = list(a)
-            flipped[j] ^= 1
-            row = index[tuple(flipped)]
-            if a[j]:
-                c[row, col] = sign
-            else:
-                cd[row, col] = sign
-        cs.append(c)
-        cds.append(cd)
-    a_maps = [(c + cd) / np.sqrt(2) for c, cd in zip(cs, cds)] + [
-        1j * (c - cd) / np.sqrt(2) for c, cd in zip(cs, cds)
-    ]
-    parity = np.diag([(-1.0) ** sum(a) for a in alphas]).astype(complex)
-    return FockMaps(n, tuple(cs), tuple(cds), tuple(a_maps), parity)
+    bits = _alpha_bits(n)
+    sign = 1 - 2 * ((np.cumsum(bits, axis=0) - bits) % 2)
+    h = 1 / np.sqrt(2)
+    values = np.concatenate([sign * h + 0j, 1j * (sign * (2 * bits - 1)) * h])
+    flips = np.tile(1 << np.arange(d), 2)
+    return flips, values
 
 
-def quadratic_form_matrix(sm_A: np.ndarray, A0: float, maps: FockMaps) -> np.ndarray:
-    """sum_pq A_pq a_p a_q - A_0 on the P_alpha basis."""
-    dim = 4**maps.n
-    out = -A0 * np.eye(dim, dtype=complex)
-    for p, ap in enumerate(maps.a):
-        combo = np.zeros((dim, dim), dtype=complex)
-        for q, aq in enumerate(maps.a):
-            if sm_A[p, q] != 0:
-                combo += sm_A[p, q] * aq
-        out += ap @ combo
+def quadratic_form_matrix(
+    sm_A: np.ndarray, A0: float, n: int, n_max: int | None = None
+) -> np.ndarray:
+    """sum_pq A_pq a_p a_q - A_0 on the P_alpha basis.
+
+    Scattered from `fock_majoranas` in O((4n)^2 4^n): column col of
+    sum_q A_pq a_q has the entry A_pj a_j + A_p,j+2n a_{j+2n} at row
+    col ^ flips[j], and a_p moves it to row col ^ flips[j] ^ flips[p].  The
+    arithmetic is that of the dense loop -A_0 + sum_p a_p @ (sum_q A_pq a_q)
+    in the same order, so the result equals it bit for bit.
+    """
+    flips, values = fock_majoranas(n, n_max)
+    d = 2 * n
+    cols = np.arange(4**n)
+    mid = cols ^ flips[:d, None]
+    out = -A0 * np.eye(4**n, dtype=complex)
+    for p in range(2 * d):
+        combo = sm_A[p, :d, None] * values[:d] + sm_A[p, d:, None] * values[d:]
+        out[mid ^ flips[p], cols] += values[p][mid] * combo
     return out
 
 
@@ -224,16 +211,24 @@ class QuadraticFormReport:
     The identity holds on the even-parity sector with the structure matrix A,
     and on the odd sector with the driving-flipped matrix; `residual` is the
     max of the two.  parity_leak measures how well the dense generator itself
-    preserves parity (machine precision).
+    preserves parity (machine precision).  even and odd are the generator's
+    blocks on the two sectors in the P_alpha basis.
     """
 
     residual_even: float
     residual_odd: float
     parity_leak: float
+    even: np.ndarray = field(repr=False, compare=False)
+    odd: np.ndarray = field(repr=False, compare=False)
 
     @property
     def residual(self) -> float:
         return max(self.residual_even, self.residual_odd)
+
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of the generator, sector by sector; the whole spectrum
+        only while parity_leak is negligible."""
+        return np.concatenate([np.linalg.eigvals(self.even), np.linalg.eigvals(self.odd)])
 
 
 def verify_quadratic_form(
@@ -241,32 +236,35 @@ def verify_quadratic_form(
     n_max: int | None = None,
     bath: BathMatrices | None = None,
     structure: StructureMatrix | None = None,
+    superoperator: Superoperator | None = None,
 ) -> QuadraticFormReport:
     """Compare the dense generator, rotated to the P_alpha basis, with the
-    quadratic form in the Fock maps, per parity sector."""
+    quadratic form in the Fock maps, per parity sector.  A given superoperator
+    is used as the generator instead of building one."""
     check_size(model.n, n_max)
     bath = bath if bath is not None else build_bath_matrices(model)
     structure = structure if structure is not None else build_structure_matrix(model, bath)
-    sup = build_superoperator(model, n_max)
+    sup = superoperator if superoperator is not None else build_superoperator(model, n_max)
     T = fock_basis_transform(model.n, n_max)
     S_fock = T.conj().T @ sup.matrix @ T
-    maps = build_fock_maps(model.n, n_max)
-    even = np.diag(maps.parity).real > 0
+    even = fock_parity_even(model.n)
     odd = ~even
 
-    form_even = quadratic_form_matrix(structure.A, structure.A0, maps)
+    form_even = quadratic_form_matrix(structure.A, structure.A0, model.n, n_max)
     form_odd = quadratic_form_matrix(
-        odd_sector_structure_matrix(structure), structure.A0, maps
+        odd_sector_structure_matrix(structure), structure.A0, model.n, n_max
     )
-    res_even = float(np.abs((S_fock - form_even)[np.ix_(even, even)]).max())
-    res_odd = float(np.abs((S_fock - form_odd)[np.ix_(odd, odd)]).max())
+    S_even = S_fock[np.ix_(even, even)]
+    S_odd = S_fock[np.ix_(odd, odd)]
+    res_even = float(np.abs(S_even - form_even[np.ix_(even, even)]).max())
+    res_odd = float(np.abs(S_odd - form_odd[np.ix_(odd, odd)]).max())
     leak = float(
         max(
             np.abs(S_fock[np.ix_(even, odd)]).max(initial=0.0),
             np.abs(S_fock[np.ix_(odd, even)]).max(initial=0.0),
         )
     )
-    return QuadraticFormReport(res_even, res_odd, leak)
+    return QuadraticFormReport(res_even, res_odd, leak, S_even, S_odd)
 
 
 @dataclass(frozen=True)
@@ -316,15 +314,17 @@ def oracle_ness(
     tol_kernel: float = 1e-9,
     tol_pos: float = 1e-9,
     grid_points: int = 41,
+    superoperator: Superoperator | None = None,
 ) -> OracleNess:
     """Kernel basis of the generator and a trace-one positive element.
 
     For a degenerate kernel the scan covers up to two traceless Hermitian
     directions on a coarse grid, positivity-checked; with more directions
-    only the trace-normalized base point is tried.
+    only the trace-normalized base point is tried.  A given superoperator is
+    used as the generator instead of building one.
     """
     check_size(model.n, n_max)
-    sup = build_superoperator(model, n_max)
+    sup = superoperator if superoperator is not None else build_superoperator(model, n_max)
     dim = 2**model.n
     _, s, vh = np.linalg.svd(sup.matrix)
     null_mask = s <= tol_kernel * max(s[0], 1.0)

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,66 @@ def seventy_block_result():
     P = np.eye(70, dtype=complex)
     jf = JordanForm(P, P, blocks, ((0, 0),), 1.0, 1.0, 0.0, False)
     return dataclasses.replace(analyze(single_qubit_model()), spectrum=enumerate_spectrum(jf))
+
+
+@dataclass(frozen=True)
+class FockMaps:
+    """Dense creation/annihilation maps over the operator Fock space.
+
+    a lists the 4n Hermitian Majorana maps, first the (c+c')/sqrt2 block then
+    the i(c-c')/sqrt2 block, matching the structure-matrix ordering.  parity
+    is diag((-1)^{|alpha|}).
+    """
+
+    n: int
+    c: tuple[np.ndarray, ...]
+    c_dag: tuple[np.ndarray, ...]
+    a: tuple[np.ndarray, ...]
+    parity: np.ndarray
+
+
+def build_fock_maps(n):
+    """The maps as dense 4^n x 4^n matrices, one basis tuple at a time: the
+    reference `oracle.fock_majoranas` and `oracle.quadratic_form_matrix` are
+    checked against."""
+    d = 2 * n
+    dim = 4**n
+    alphas = [tuple((idx >> j) & 1 for j in range(d)) for idx in range(dim)]
+    index = {a: i for i, a in enumerate(alphas)}
+    cs = []
+    cds = []
+    for j in range(d):
+        c = np.zeros((dim, dim), dtype=complex)
+        cd = np.zeros((dim, dim), dtype=complex)
+        for a, col in index.items():
+            sign = (-1) ** sum(a[:j])
+            flipped = list(a)
+            flipped[j] ^= 1
+            row = index[tuple(flipped)]
+            if a[j]:
+                c[row, col] = sign
+            else:
+                cd[row, col] = sign
+        cs.append(c)
+        cds.append(cd)
+    a_maps = [(c + cd) / np.sqrt(2) for c, cd in zip(cs, cds)] + [
+        1j * (c - cd) / np.sqrt(2) for c, cd in zip(cs, cds)
+    ]
+    parity = np.diag([(-1.0) ** sum(a) for a in alphas]).astype(complex)
+    return FockMaps(n, tuple(cs), tuple(cds), tuple(a_maps), parity)
+
+
+def dense_quadratic_form(sm_A, A0, maps):
+    """sum_pq A_pq a_p a_q - A_0 as dense matrix products of the maps."""
+    dim = 4**maps.n
+    out = -A0 * np.eye(dim, dtype=complex)
+    for p, ap in enumerate(maps.a):
+        combo = np.zeros((dim, dim), dtype=complex)
+        for q, aq in enumerate(maps.a):
+            if sm_A[p, q] != 0:
+                combo += sm_A[p, q] * aq
+        out += ap @ combo
+    return out
 
 
 def pipeline_stage(model):

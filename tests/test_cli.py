@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import liouv.cli
+import liouv.oracle
 from liouv.analysis import analyze, build_report, dumps_report
 from liouv.cli import main
 from liouv.io import load_model, parse_model_dict
@@ -204,6 +205,73 @@ def test_verify_corrupt_hook_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(liouv.cli, "analyze", corrupted_analyze)
     assert main(["verify", model_path("ising_pair.json")]) == 3
     assert "FAIL" in capsys.readouterr().out
+
+
+def _parity_odd_coupling(n):
+    """The commutator with the Majorana w_1, -i[w_1, .], as a vec superoperator:
+    it maps even-parity operators to odd ones and keeps the trace."""
+    w1 = liouv.oracle.majorana_ops(n).w[0]
+    eye = np.eye(2**n)
+    return -1j * (np.kron(eye, w1) - np.kron(w1.T, eye))
+
+
+def test_verify_fails_on_parity_leak(monkeypatch, capsys):
+    """A generator that leaks parity fails verify even when every other check
+    passes: the sector spectrum check is only sound without the leak."""
+    real_build = liouv.oracle.build_superoperator
+    built = []
+
+    def leaky_superoperator(model, n_max=None):
+        sup = real_build(model, n_max)
+        built.append(sup)
+        return dataclasses.replace(sup, matrix=sup.matrix + 1e-8 * _parity_odd_coupling(model.n))
+
+    monkeypatch.setattr(liouv.oracle, "build_superoperator", leaky_superoperator)
+    assert main(["verify", "--random", "--n", "2", "--seed", "11"]) == 3
+    out = capsys.readouterr().out
+    assert len(built) == 1
+    leak = float(re.search(r"parity leak (\S+)", out).group(1))
+    assert 1e-9 < leak < 1e-7
+    assert "kernel dim 1 vs stationary_dim 1: ok" in out
+    assert float(re.search(r"covariance deviation: (\S+)", out).group(1)) < 1e-7
+    assert float(re.search(r"spectrum multiset deviation: (\S+)", out).group(1)) < 1e-7
+    assert out.splitlines()[-1] == "FAIL"
+
+
+def test_verify_builds_one_superoperator(monkeypatch, capsys):
+    real_build = liouv.oracle.build_superoperator
+    built = []
+
+    def counted(model, n_max=None):
+        built.append(model.n)
+        return real_build(model, n_max)
+
+    monkeypatch.setattr(liouv.oracle, "build_superoperator", counted)
+    assert main(["verify", model_path("ising_pair.json")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+    assert built == [2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["comb", "restricted-binomial", "-1", "0"],
+    ["comb", "restricted-binomial", "3", "5"],
+    ["comb", "restricted-binomial", "3", "-1"],
+    ["comb", "tensor-blocks", "0", "1"],
+    ["comb", "tensor-blocks", "3", "-1"],
+    ["comb", "nilpotent-blocks", "5", "-1"],
+    ["comb", "nilpotent-blocks", "3", "5"],
+    ["comb", "verify-conjecture", "-2"],
+    ["verify", "--random", "--n", "-1", "--seed", "1"],
+    ["verify", "--random", "--n", "2", "--seed", "-1"],
+    ["verify", "--random", "--n", "2", "--seed", "1", "--vectors", "-2"],
+])
+def test_bad_integer_arguments_exit_2(capsys, argv):
+    # each used to end in a ValueError traceback, or to print an empty
+    # staircase or a PASS with a meaningless argument
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_verify_nmax_exceeded_exit_2():

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from liouv._intlinalg import int_matmul, nilpotent_staircase
+from liouv._intlinalg import int_matmul, int_rank, jordan_profile, nilpotent_staircase
 from liouv.combinatorics import (
+    JordanBlockMultiset,
+    _level_matrices,
     conjectured_blocks,
     delta_matrix,
     jordan_blocks_of_nilpotent,
@@ -219,6 +221,51 @@ def test_graded_staircase_matches_full_matrix_staircase():
     rep = nilpotent_blocks(6, 3)
     full = jordan_blocks_of_nilpotent(nilpotent_map_matrix(6, 3))
     assert rep.staircase == full
+
+
+def _bareiss_staircase(l, m):
+    """Jordan blocks from a Bareiss rank of every level chain P_{r,p}, each a
+    dense product of the level matrices."""
+    dims, level_blocks = _level_matrices(l, m)
+    rmax = m * (l - m)
+    ranks = []
+    chains = {r: level_blocks[r] for r in range(rmax)}
+    for p in range(1, rmax + 2):
+        if p > 1:
+            chains = {
+                r: int_matmul(level_blocks[r + p - 1], c)
+                for r, c in chains.items()
+                if r + p - 1 < rmax
+            }
+        total = sum(int_rank(c) for c in chains.values())
+        ranks.append(total)
+        if total == 0:
+            break
+    return JordanBlockMultiset(tuple(jordan_profile([math.comb(l, m) - r for r in ranks])))
+
+
+@pytest.mark.parametrize("l", range(12))
+def test_nilpotent_blocks_match_all_bareiss_reference(l):
+    for m in range(l + 1):
+        assert nilpotent_blocks(l, m).staircase == _bareiss_staircase(l, m), (l, m)
+
+
+@pytest.mark.parametrize("l,m", [(6, 3), (7, 3), (8, 4)])
+def test_nilpotent_blocks_without_central_ranks_falls_back_to_bareiss(monkeypatch, l, m):
+    """If no central chain is certified bijective, every chain gets its own
+    Bareiss rank and the staircase is still exact."""
+    import liouv.combinatorics as combinatorics
+
+    central = (m * (l - m) + 1) // 2
+    calls = []
+
+    def uncertified(mat):
+        calls.append(len(mat))
+        return -1 if len(calls) <= central else int_rank(mat)
+
+    monkeypatch.setattr(combinatorics, "int_rank", uncertified)
+    assert nilpotent_blocks(l, m).staircase == _bareiss_staircase(l, m)
+    assert len(calls) > central
 
 
 def test_conjectured_blocks_drop_zero_counts():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from liouv.randmodel import random_model
 from liouv.rapidity import jordan_decompose
 from liouv.spectra import classify_ness, enumerate_spectrum, ness_covariance
 
-from conftest import ising_pair_model, single_qubit_model
+from conftest import build_fock_maps, dense_quadratic_form, ising_pair_model, single_qubit_model
 
 
 def full_stage(model):
@@ -44,22 +46,64 @@ def test_majorana_size_limit():
         oracle.majorana_ops(7)
 
 
+def _dense_majoranas(n):
+    """The maps of `oracle.fock_majoranas` as dense 4^n x 4^n matrices."""
+    flips, values = oracle.fock_majoranas(n)
+    cols = np.arange(4**n)
+    out = []
+    for flip, vals in zip(flips, values):
+        a = np.zeros((4**n, 4**n), dtype=complex)
+        a[cols ^ flip, cols] = vals
+        out.append(a)
+    return out
+
+
 def test_fock_maps_car_and_adjointness():
-    maps = oracle.build_fock_maps(2)
+    a_maps = _dense_majoranas(2)
     dim = 16
-    for c, cd in zip(maps.c, maps.c_dag):
-        np.testing.assert_allclose(cd, c.conj().T, atol=1e-15)
-    for p, ap in enumerate(maps.a):
-        for q, aq in enumerate(maps.a):
+    for ap in a_maps:
+        np.testing.assert_array_equal(ap, ap.conj().T)
+    for p, ap in enumerate(a_maps):
+        for q, aq in enumerate(a_maps):
             anti = ap @ aq + aq @ ap
             np.testing.assert_allclose(anti, (p == q) * np.eye(dim), atol=1e-14)
+    maps = build_fock_maps(2)
+    for c, cd in zip(maps.c, maps.c_dag):
+        np.testing.assert_allclose(cd, c.conj().T, atol=1e-15)
 
 
 def test_fock_maps_single_mode():
-    maps = oracle.build_fock_maps(1)
-    assert maps.a[0].shape == (4, 4)
-    anti = maps.a[0] @ maps.a[2] + maps.a[2] @ maps.a[0]
+    a_maps = _dense_majoranas(1)
+    assert a_maps[0].shape == (4, 4)
+    anti = a_maps[0] @ a_maps[2] + a_maps[2] @ a_maps[0]
     np.testing.assert_allclose(anti, np.zeros((4, 4)), atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fock_majoranas_match_dense_reference(n):
+    maps = build_fock_maps(n)
+    for ap, ref in zip(_dense_majoranas(n), maps.a, strict=True):
+        np.testing.assert_array_equal(ap, ref)
+    np.testing.assert_array_equal(oracle.fock_parity_even(n), np.diag(maps.parity).real > 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_quadratic_form_matrix_matches_dense_loop(n):
+    """The scatter performs the dense loop's floating-point operations in the
+    same order: equal bit for bit, on random and axis models, with the
+    even-sector and the driving-flipped structure matrix."""
+    from liouv.model import odd_sector_structure_matrix
+    from liouv.randmodel import random_axis_model
+
+    maps = build_fock_maps(n)
+    for seed in range(3):
+        for m in (random_model(n, seed), random_axis_model(n, seed, 1 + seed % (2 * n - 1))):
+            sm = build_structure_matrix(m, build_bath_matrices(m))
+            for A in (sm.A, odd_sector_structure_matrix(sm)):
+                np.testing.assert_array_equal(
+                    oracle.quadratic_form_matrix(A, sm.A0, n),
+                    dense_quadratic_form(A, sm.A0, maps),
+                )
 
 
 def test_fock_basis_transform_unitary():
@@ -119,6 +163,27 @@ def test_quadratic_form_random_models(seed):
     assert rep.parity_leak < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sector_eigenvalues_match_full_eigvals(n):
+    from liouv.randmodel import random_axis_model
+
+    for m in (random_model(n, 40 + n), random_axis_model(n, 40 + n, 1)):
+        sup = oracle.build_superoperator(m)
+        rep = oracle.verify_quadratic_form(m, superoperator=sup)
+        assert rep.parity_leak < 1e-12
+        full = np.linalg.eigvals(sup.matrix)
+        assert oracle.match_multisets(rep.eigenvalues(), full) < 1e-10
+
+
+def test_given_superoperator_is_the_one_used():
+    m = random_model(2, seed=5)
+    sup = oracle.build_superoperator(m)
+    assert oracle.verify_quadratic_form(m, superoperator=sup) == oracle.verify_quadratic_form(m)
+    zero = dataclasses.replace(sup, matrix=np.zeros_like(sup.matrix))
+    assert oracle.verify_quadratic_form(m, superoperator=zero).residual > 0.1
+    assert oracle.oracle_ness(m, superoperator=zero).kernel_dim == 16
+
+
 def test_single_structure_matrix_fails_on_odd_sector():
     """Documents why the parity split is required: with the even-sector A used
     on the whole space, the residual is O(coupling), not numerical noise."""
@@ -128,8 +193,7 @@ def test_single_structure_matrix_fails_on_odd_sector():
     sup = oracle.build_superoperator(m)
     T = oracle.fock_basis_transform(1)
     S_fock = T.conj().T @ sup.matrix @ T
-    maps = oracle.build_fock_maps(1)
-    form = oracle.quadratic_form_matrix(sm.A, sm.A0, maps)
+    form = oracle.quadratic_form_matrix(sm.A, sm.A0, 1)
     assert np.abs(S_fock - form).max() > 1.0
 
 
@@ -233,7 +297,7 @@ def test_zero_mode_descriptor_realizes_dense_kernel_direction():
     zero_row = jf.blocks[0].chain_start  # j=1 sorts first
 
     nmb = build_V(jf, ds.Z)
-    maps = oracle.build_fock_maps(2)
+    maps = build_fock_maps(2)
     T = oracle.fock_basis_transform(2)
     sup = oracle.build_superoperator(m)
     S_fock = T.conj().T @ sup.matrix @ T
@@ -242,7 +306,7 @@ def test_zero_mode_descriptor_realizes_dense_kernel_direction():
     trace_dual[0] = 2.0
 
     # the even-sector form annihilates its own descriptor as a matrix identity
-    F_even = oracle.quadratic_form_matrix(sm.A, sm.A0, maps)
+    F_even = oracle.quadratic_form_matrix(sm.A, sm.A0, 2)
     b_ops = [sum(nmb.V[i, p] * maps.a[p] for p in range(8)) for i in range(8)]
     vac_even = _form_vacuum(F_even, parity, trace_dual)
     dir_form = b_ops[4 + zero_row] @ vac_even
@@ -253,7 +317,7 @@ def test_zero_mode_descriptor_realizes_dense_kernel_direction():
     D = np.kron(np.diag([1.0, -1.0]), np.eye(4))
     V_odd = nmb.V @ D
     b_odd = [sum(V_odd[i, p] * maps.a[p] for p in range(8)) for i in range(8)]
-    F_odd = oracle.quadratic_form_matrix(odd_sector_structure_matrix(sm), sm.A0, maps)
+    F_odd = oracle.quadratic_form_matrix(odd_sector_structure_matrix(sm), sm.A0, 2)
     vac_odd = _form_vacuum(F_odd, parity, trace_dual)
     dir_true = b_odd[4 + zero_row] @ vac_odd
     assert np.linalg.norm(dir_true) > 1e-3
@@ -288,7 +352,7 @@ def test_imaginary_pair_combination_is_stationary_trace_zero():
     assert (k, kp) == (1, 1)
 
     nmb = build_V(jf, ds.Z)
-    maps = oracle.build_fock_maps(3)
+    maps = build_fock_maps(3)
     T = oracle.fock_basis_transform(3)
     sup = oracle.build_superoperator(model)
     S_fock = T.conj().T @ sup.matrix @ T
@@ -297,7 +361,7 @@ def test_imaginary_pair_combination_is_stationary_trace_zero():
     trace_dual[0] = 2**1.5
     half = 6
 
-    F_even = oracle.quadratic_form_matrix(sm.A, sm.A0, maps)
+    F_even = oracle.quadratic_form_matrix(sm.A, sm.A0, 3)
     vac = _form_vacuum(F_even, parity, trace_dual)
     rows = {b.j: b.chain_start for b in jf.blocks}
     b_ops = [sum(nmb.V[i, p] * maps.a[p] for p in range(12)) for i in range(12)]
@@ -339,7 +403,7 @@ def test_normal_master_modes_almost_car_and_vacua():
     m = random_model(2, seed=21)
     bath, X, sm, jf, ds = full_stage(m)
     nmb = build_V(jf, ds.Z)
-    maps = oracle.build_fock_maps(2)
+    maps = build_fock_maps(2)
     dim = 16
     b_ops = [sum(nmb.V[i, p] * maps.a[p] for p in range(8)) for i in range(8)]
     # almost-CAR: {b_i, b_j} = J_ij
@@ -367,11 +431,11 @@ def test_normal_form_matrix_identity():
         bath, X, sm, jf, ds = full_stage(m)
         nmb = build_V(jf, ds.Z)
         n4 = 2 * jf.dim
-        maps = oracle.build_fock_maps(m.n)
+        maps = build_fock_maps(m.n)
         dim = 4**m.n
         b_ops = [sum(nmb.V[i, p] * maps.a[p] for p in range(n4)) for i in range(n4)]
         half = jf.dim
-        form = oracle.quadratic_form_matrix(sm.A, sm.A0, maps)
+        form = oracle.quadratic_form_matrix(sm.A, sm.A0, m.n)
         normal = np.zeros((dim, dim), dtype=complex)
         for blk in jf.blocks:
             for l in range(blk.size):
