@@ -11,7 +11,7 @@ coefficient), and all two-point functions are family-independent.
 import numpy as np
 
 from liouv import analyze, ness_covariance, validate_model
-from liouv.oracle import majorana_ops, oracle_ness
+from liouv.oracle import build_superoperator, majorana_ops, oracle_ness
 
 G1, G2, J = 0.3, 0.5, 0.7
 GP, GM = G2 + G1, G2 - G1
@@ -37,9 +37,9 @@ print(f"\ndriving solution unique: {result.driving.unique} "
       f"(free parameters: {result.driving.free_parameter_count})")
 print(f"|Z - closed form|_max = {np.abs(result.driving.Z - Z_closed).max():.2e}")
 
-# brute force: the dense generator's kernel, and the correlators of a steady
-# state picked from the degenerate family
-on = oracle_ness(model)
+# brute force: the dense generator's kernel, and the correlators of the steady
+# state the dynamics reaches from the maximally mixed state
+on = oracle_ness(build_superoperator(model))
 print(f"\ndense-generator kernel dimension: {on.kernel_dim}")
 C_fast = ness_covariance(result.driving.Z)
 print(f"|C_oracle - (1 + 4i Z^T)|_max = {np.abs(on.covariance - C_fast).max():.2e}")
@@ -47,5 +47,5 @@ print(f"|C_oracle - (1 + 4i Z^T)|_max = {np.abs(on.covariance - C_fast).max():.2
 # one-point functions are the family-dependent observables
 rep = majorana_ops(2)
 ones = [np.trace(w @ on.rho).real for w in rep.w]
-print("one-point functions <w_j> of the scanned steady state "
+print("one-point functions <w_j> of the oracle's steady state "
       f"(only w_4 may be nonzero): {np.round(ones, 6)}")

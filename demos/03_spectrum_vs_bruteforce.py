@@ -26,7 +26,7 @@ for seed in (5, 17):
     theory = eigenvalue_multiset_from_enumeration(result.spectrum.entries)
     dense = np.linalg.eigvals(sup.matrix)
     dev = match_multisets(theory, dense)
-    qf = verify_quadratic_form(model)
+    qf = verify_quadratic_form(sup, result.structure)
 
     print(f"model n={n} seed={seed}:")
     print(f"  rapidities: {np.round([b.rapidity for b in result.jordan.blocks], 4)}")

@@ -59,21 +59,25 @@ def cmd_analyze(args) -> int:
     else:
         text = render_text(report)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"--output: cannot write {args.output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
     return 0
 
 
 def _require(ok: bool, message: str):
-    """Reject an out-of-range integer argument as an input error (exit 2)."""
+    """Reject an out-of-range or inapplicable argument as an input error (exit 2)."""
     if not ok:
         raise InputError(message)
 
 
 def cmd_verify(args) -> int:
     if args.random:
+        _require(not args.model_file, "give a model file or --random, not both")
         if args.n is None or args.seed is None:
             raise InputError("--random requires --n and --seed")
         _require(args.n >= 1, f"--n: expected a positive integer, got {args.n}")
@@ -85,6 +89,8 @@ def cmd_verify(args) -> int:
     else:
         if not args.model_file:
             raise InputError("give a model file or --random")
+        _require(args.n is None and args.seed is None and args.vectors is None,
+                 "--n, --seed and --vectors apply only with --random")
         model, _ = load_model(args.model_file)
         label = args.model_file
     # fail on the oracle's size limit before any work or output
@@ -93,8 +99,7 @@ def cmd_verify(args) -> int:
 
     print(f"verify {label}: n={model.n}")
     sup = oracle.build_superoperator(model)
-    qf = oracle.verify_quadratic_form(model, structure=result.structure, bath=result.bath,
-                                      superoperator=sup)
+    qf = oracle.verify_quadratic_form(sup, result.structure)
     print(f"  quadratic-form residual: even {qf.residual_even:.3e}, "
           f"odd {qf.residual_odd:.3e}, parity leak {qf.parity_leak:.3e}")
 
@@ -103,7 +108,7 @@ def cmd_verify(args) -> int:
     spec_dev = oracle.match_multisets(theory, np.sort_complex(qf.eigenvalues()))
     print(f"  spectrum multiset deviation: {spec_dev:.3e}")
 
-    ness = oracle.oracle_ness(model, superoperator=sup)
+    ness = oracle.oracle_ness(sup)
     kernel_ok = ness.kernel_dim == result.ness.stationary_dim
     print(f"  kernel dim {ness.kernel_dim} vs stationary_dim {result.ness.stationary_dim}: "
           f"{'ok' if kernel_ok else 'MISMATCH'}")
@@ -114,7 +119,7 @@ def cmd_verify(args) -> int:
         and not result.ness.imaginary_pair_modes
     )
     cov_dev = None
-    if ness.covariance is not None and comparable:
+    if comparable:
         cov_dev = float(np.abs(ness.covariance - result.ness.covariance).max())
         qualifier = "" if result.ness.unique else " (single odd degeneracy direction)"
         print(f"  covariance deviation: {cov_dev:.3e}{qualifier}")

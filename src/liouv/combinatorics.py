@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from ._intlinalg import (
     IntMatrix,
@@ -49,25 +48,37 @@ class JordanBlockMultiset:
         )
 
 
-@lru_cache(maxsize=None)
-def restricted_binomial(l: int, m: int, r: int) -> int:
-    """Number of m-subsets of {1..l} whose weight exceeds the minimum by exactly r.
+def restricted_binomial_row(l: int, m: int) -> list[int]:
+    """All values (l m)_r for r = 0..m(l-m): the number of m-subsets of {1..l}
+    whose weight exceeds the minimum by exactly r.
 
-    Computed from the recursion (l m)_r = (l-1 m)_r + (l-1 m-1)_{r-l+m} with
-    base (0 m)_r = delta_{m,0} delta_{r,0}; exact integers.
+    They are the coefficients of the Gaussian binomial
+    prod_{i=1..k} (1 - q^(l-k+i)) / (1 - q^i), k = min(m, l - m), built one
+    exact factor at a time in O(k m(l-m)) integer additions; after factor i
+    they are the row (l-k+i i).  Equal to the recursion
+    (l m)_r = (l-1 m)_r + (l-1 m-1)_{r-l+m}, without its depth of l calls.
     """
     if l < 0:
         raise ValueError("l must be nonnegative")
-    if m < 0 or r < 0 or m > l or r > m * (l - m):
-        return 0
-    if l == 0:
-        return 1 if (m == 0 and r == 0) else 0
-    return restricted_binomial(l - 1, m, r) + restricted_binomial(l - 1, m - 1, r - l + m)
+    if m < 0 or m > l:
+        return []
+    k = min(m, l - m)
+    w = k * (l - k)
+    row = [1] + [0] * w
+    for i in range(1, k + 1):
+        a = l - k + i
+        # multiply by 1 - q^a, then divide exactly by 1 - q^i
+        for r in range(w, a - 1, -1):
+            row[r] -= row[r - a]
+        for r in range(i, w + 1):
+            row[r] += row[r - i]
+    return row
 
 
-def restricted_binomial_row(l: int, m: int) -> list[int]:
-    """All values (l m)_r for r = 0..m(l-m)."""
-    return [restricted_binomial(l, m, r) for r in range(m * (l - m) + 1)]
+def restricted_binomial(l: int, m: int, r: int) -> int:
+    """(l m)_r, one entry of `restricted_binomial_row`; zero outside its range."""
+    row = restricted_binomial_row(l, m)
+    return row[r] if 0 <= r < len(row) else 0
 
 
 def tensor_sum_blocks(k: int, l: int) -> JordanBlockMultiset:
@@ -233,9 +244,10 @@ class NilpotentBlocksReport:
 def conjectured_blocks(l: int, m: int) -> JordanBlockMultiset:
     """Block multiset implied by the restricted-binomial formula."""
     w = m * (l - m)
+    row = restricted_binomial_row(l, m)
     blocks = []
     for r in range(w // 2 + 1):
-        count = restricted_binomial(l, m, r) - restricted_binomial(l, m, r - 1)
+        count = row[r] - (row[r - 1] if r else 0)
         if count > 0:
             blocks.append((w + 1 - 2 * r, count))
     return JordanBlockMultiset(tuple(sorted(blocks, reverse=True)))

@@ -4,27 +4,20 @@ Explicit Jordan-Wigner Majorana matrices on the 2^n Hilbert space, the dense
 4^n x 4^n Lindblad superoperator (column-stacked vec convention), the
 Majorana maps on the operator Fock basis P_alpha as signed permutations, and
 the comparisons that pin the fast path: the quadratic-form identity per parity
-sector, spectrum multisets, and steady-state correlators.
+sector, spectrum multisets, and steady-state correlators.  Every check takes
+the generator it checks, built once by `build_superoperator`.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BuildInvariantViolated, InputError, TooLarge
-from .model import (
-    BathMatrices,
-    QuadraticLindbladModel,
-    StructureMatrix,
-    build_bath_matrices,
-    build_structure_matrix,
-    odd_sector_structure_matrix,
-)
-from .tolerances import ORACLE_TOL_RANK
+from .model import QuadraticLindbladModel, StructureMatrix, odd_sector_structure_matrix
+from .tolerances import ORACLE_TOL_KERNEL, ORACLE_TOL_POS, ORACLE_TOL_RANK, ORACLE_TOL_TRACE
 
 DEFAULT_NMAX = 5
 
@@ -33,23 +26,16 @@ _SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def resolve_nmax(n_max: int | None = None) -> int:
-    """n_max if given, else LIOUV_NMAX if set (a positive integer), else DEFAULT_NMAX."""
-    if n_max is not None:
-        return n_max
+def check_size(n: int):
+    """Raise TooLarge when n exceeds the oracle limit: LIOUV_NMAX if set (a
+    positive integer), else DEFAULT_NMAX."""
     env = os.environ.get("LIOUV_NMAX")
     try:
-        value = int(env or DEFAULT_NMAX)
+        limit = int(env or DEFAULT_NMAX)
     except ValueError:
-        value = 0
-    if value < 1:
+        limit = 0
+    if limit < 1:
         raise InputError(f"LIOUV_NMAX: expected a positive integer, got {env!r}")
-    return value
-
-
-def check_size(n: int, n_max: int | None = None):
-    """Raise TooLarge when n exceeds the oracle limit `resolve_nmax(n_max)`."""
-    limit = resolve_nmax(n_max)
     if n > limit:
         raise TooLarge(f"n = {n} exceeds the oracle limit n_max = {limit}")
 
@@ -62,10 +48,10 @@ class MajoranaRep:
     w: tuple[np.ndarray, ...]
 
 
-def majorana_ops(n: int, n_max: int | None = None) -> MajoranaRep:
+def majorana_ops(n: int) -> MajoranaRep:
     """Jordan-Wigner Majoranas: w_{2j-1}, w_{2j} act on site j with sigma^3
     strings on the sites before it."""
-    check_size(n, n_max)
+    check_size(n)
     ws = []
     for j in range(n):
         string = [_SIGMA3] * j
@@ -106,15 +92,14 @@ class Superoperator:
     trace_preservation_residual: float
 
 
-def build_superoperator(model: QuadraticLindbladModel, n_max: int | None = None) -> Superoperator:
+def build_superoperator(model: QuadraticLindbladModel) -> Superoperator:
     """Assemble the Lindblad generator as a 4^n x 4^n matrix.
 
     vec is column stacking, so A rho B maps to kron(B^T, A).  The trace
     functional must annihilate the generator from the left (machine
     precision); a violation means the assembly is broken.
     """
-    check_size(model.n, n_max)
-    rep = majorana_ops(model.n, n_max)
+    rep = majorana_ops(model.n)
     dim = 2**model.n
     eye = np.eye(dim, dtype=complex)
     H = hamiltonian_matrix(model, rep)
@@ -125,7 +110,7 @@ def build_superoperator(model: QuadraticLindbladModel, n_max: int | None = None)
     tr_vec = eye.reshape(-1, order="F").conj()
     scale = max(np.abs(S).max(), 1.0)
     residual = float(np.abs(tr_vec @ S).max() / scale)
-    if residual > 1e-10:
+    if residual > ORACLE_TOL_TRACE:
         raise BuildInvariantViolated(
             f"superoperator is not trace-preserving: residual {residual:.3e}"
         )
@@ -138,10 +123,9 @@ def _alpha_bits(n: int) -> np.ndarray:
     return (np.arange(4**n)[None, :] >> np.arange(2 * n)[:, None]) & 1
 
 
-def pauli_basis_matrices(n: int, n_max: int | None = None) -> list[np.ndarray]:
+def pauli_basis_matrices(n: int) -> list[np.ndarray]:
     """Orthonormal Majorana monomials P_alpha = 2^{-n/2} w_1^a1 ... w_2n^a2n."""
-    check_size(n, n_max)
-    rep = majorana_ops(n, n_max)
+    rep = majorana_ops(n)
     dim = 2**n
     out = []
     for alpha in _alpha_bits(n).T:
@@ -153,9 +137,9 @@ def pauli_basis_matrices(n: int, n_max: int | None = None) -> list[np.ndarray]:
     return out
 
 
-def fock_basis_transform(n: int, n_max: int | None = None) -> np.ndarray:
+def fock_basis_transform(n: int) -> np.ndarray:
     """Unitary T with columns vec(P_alpha): maps P_alpha coefficients to vec."""
-    mats = pauli_basis_matrices(n, n_max)
+    mats = pauli_basis_matrices(n)
     return np.column_stack([m.reshape(-1, order="F") for m in mats])
 
 
@@ -164,7 +148,7 @@ def fock_parity_even(n: int) -> np.ndarray:
     return _alpha_bits(n).sum(axis=0) % 2 == 0
 
 
-def fock_majoranas(n: int, n_max: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def fock_majoranas(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The 4n Hermitian Majorana maps a_p of the operator Fock space, each a
     signed permutation: a_p sends P_col to values[p, col] P_{col ^ flips[p]}.
 
@@ -172,7 +156,7 @@ def fock_majoranas(n: int, n_max: int | None = None) -> tuple[np.ndarray, np.nda
     structure-matrix ordering; c_j clears bit j of alpha and c_j' sets it, both
     with the Jordan-Wigner sign (-1)^(alpha_1 + ... + alpha_j) of the bits below.
     """
-    check_size(n, n_max)
+    check_size(n)
     d = 2 * n
     bits = _alpha_bits(n)
     sign = 1 - 2 * ((np.cumsum(bits, axis=0) - bits) % 2)
@@ -182,9 +166,7 @@ def fock_majoranas(n: int, n_max: int | None = None) -> tuple[np.ndarray, np.nda
     return flips, values
 
 
-def quadratic_form_matrix(
-    sm_A: np.ndarray, A0: float, n: int, n_max: int | None = None
-) -> np.ndarray:
+def quadratic_form_matrix(sm_A: np.ndarray, A0: float, n: int) -> np.ndarray:
     """sum_pq A_pq a_p a_q - A_0 on the P_alpha basis.
 
     Scattered from `fock_majoranas` in O((4n)^2 4^n): column col of
@@ -193,7 +175,7 @@ def quadratic_form_matrix(
     arithmetic is that of the dense loop -A_0 + sum_p a_p @ (sum_q A_pq a_q)
     in the same order, so the result equals it bit for bit.
     """
-    flips, values = fock_majoranas(n, n_max)
+    flips, values = fock_majoranas(n)
     d = 2 * n
     cols = np.arange(4**n)
     mid = cols ^ flips[:d, None]
@@ -231,29 +213,17 @@ class QuadraticFormReport:
         return np.concatenate([np.linalg.eigvals(self.even), np.linalg.eigvals(self.odd)])
 
 
-def verify_quadratic_form(
-    model: QuadraticLindbladModel,
-    n_max: int | None = None,
-    bath: BathMatrices | None = None,
-    structure: StructureMatrix | None = None,
-    superoperator: Superoperator | None = None,
-) -> QuadraticFormReport:
-    """Compare the dense generator, rotated to the P_alpha basis, with the
-    quadratic form in the Fock maps, per parity sector.  A given superoperator
-    is used as the generator instead of building one."""
-    check_size(model.n, n_max)
-    bath = bath if bath is not None else build_bath_matrices(model)
-    structure = structure if structure is not None else build_structure_matrix(model, bath)
-    sup = superoperator if superoperator is not None else build_superoperator(model, n_max)
-    T = fock_basis_transform(model.n, n_max)
+def verify_quadratic_form(sup: Superoperator, structure: StructureMatrix) -> QuadraticFormReport:
+    """Compare the generator sup, rotated to the P_alpha basis, with the
+    quadratic form of the structure matrix in the Fock maps, per parity sector."""
+    n = sup.n
+    T = fock_basis_transform(n)
     S_fock = T.conj().T @ sup.matrix @ T
-    even = fock_parity_even(model.n)
+    even = fock_parity_even(n)
     odd = ~even
 
-    form_even = quadratic_form_matrix(structure.A, structure.A0, model.n, n_max)
-    form_odd = quadratic_form_matrix(
-        odd_sector_structure_matrix(structure), structure.A0, model.n, n_max
-    )
+    form_even = quadratic_form_matrix(structure.A, structure.A0, n)
+    form_odd = quadratic_form_matrix(odd_sector_structure_matrix(structure), structure.A0, n)
     S_even = S_fock[np.ix_(even, even)]
     S_odd = S_fock[np.ix_(odd, odd)]
     res_even = float(np.abs(S_even - form_even[np.ix_(even, even)]).max())
@@ -271,129 +241,51 @@ def verify_quadratic_form(
 class OracleNess:
     """Kernel of the dense generator and a stationary density matrix.
 
-    rho is the unique steady state when kernel_dim == 1, otherwise a positive
-    trace-one witness found by a coarse grid scan over the traceless kernel
-    directions (positive_witness_found False when the scan fails; not fatal).
-    covariance is tr(w_j w_k rho) for the returned rho.
+    rho is the unique steady state when kernel_dim == 1, otherwise the one the
+    dynamics reaches from the maximally mixed state.  positive_witness_found
+    records that its smallest eigenvalue passes -ORACLE_TOL_POS.  covariance
+    is tr(w_j w_k rho).
     """
 
     kernel_dim: int
-    rho: np.ndarray | None
-    covariance: np.ndarray | None
+    rho: np.ndarray
+    covariance: np.ndarray
     positive_witness_found: bool
     hermiticity_residual: float
     min_eigenvalue: float
     kernel_vectors: np.ndarray
 
 
-def _hermitian_kernel_basis(kernel: np.ndarray, dim: int) -> list[np.ndarray]:
-    """Real-orthonormal basis of Hermitian matrices spanning the kernel."""
-    k = kernel.shape[1]
-    candidates = []
-    for i in range(k):
-        rho = kernel[:, i].reshape(dim, dim, order="F")
-        candidates.append((rho + rho.conj().T) / 2)
-        candidates.append((rho - rho.conj().T) / 2j)
-    stacked = np.column_stack(
-        [np.concatenate([m.real.reshape(-1), m.imag.reshape(-1)]) for m in candidates]
-    )
-    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    basis = []
-    for i in range(k):
-        if s[i] <= s[0] * 1e-10:
-            break
-        v = u[:, i]
-        m = v[: dim * dim].reshape(dim, dim) + 1j * v[dim * dim:].reshape(dim, dim)
-        basis.append((m + m.conj().T) / 2)
-    return basis
+def oracle_ness(sup: Superoperator) -> OracleNess:
+    """Kernel basis of the generator sup and its steady state from 1/2^n.
 
-
-def oracle_ness(
-    model: QuadraticLindbladModel,
-    n_max: int | None = None,
-    tol_kernel: float = 1e-9,
-    tol_pos: float = 1e-9,
-    grid_points: int = 41,
-    superoperator: Superoperator | None = None,
-) -> OracleNess:
-    """Kernel basis of the generator and a trace-one positive element.
-
-    For a degenerate kernel the scan covers up to two traceless Hermitian
-    directions on a coarse grid, positivity-checked; with more directions
-    only the trace-normalized base point is tried.  A given superoperator is
-    used as the generator instead of building one.
+    The zero eigenvalue of a Lindbladian is semisimple, so with R and L the
+    right and left null vectors of S, P0 = R (L^dag R)^-1 L^dag projects onto
+    ker S along ran S.  P0 is the long-time average of the CPTP maps exp(tS),
+    so rho = P0 vec(1/2^n) is a positive trace-one steady state (Albert and
+    Jiang, PRA 89, 022118 (2014)).
     """
-    check_size(model.n, n_max)
-    sup = superoperator if superoperator is not None else build_superoperator(model, n_max)
-    dim = 2**model.n
-    _, s, vh = np.linalg.svd(sup.matrix)
-    null_mask = s <= tol_kernel * max(s[0], 1.0)
+    dim = 2**sup.n
+    u, s, vh = np.linalg.svd(sup.matrix)
+    null_mask = s <= ORACLE_TOL_KERNEL * max(s[0], 1.0)
     kernel = vh[null_mask].conj().T
+    left = u[:, null_mask].conj().T  # L^dag
     kdim = kernel.shape[1]
     if kdim == 0:
         raise BuildInvariantViolated("generator has no kernel; impossible for a Lindbladian")
 
-    basis = _hermitian_kernel_basis(kernel, dim)
-    traces = np.array([np.trace(b).real for b in basis])
-    norm2 = float(traces @ traces)
-    if norm2 < 1e-20:
-        return OracleNess(kdim, None, None, False, np.inf, -np.inf, kernel)
-    base = sum(t / norm2 * b for t, b in zip(traces, basis))
-    # traceless kernel directions: project the trace component out and SVD-reduce
-    projected = [b - t * base for t, b in zip(traces, basis)]
-    stacked = np.column_stack(
-        [np.concatenate([m.real.reshape(-1), m.imag.reshape(-1)]) for m in projected]
-    )
-    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    traceless = []
-    for i in range(kdim - 1):
-        if i < len(s) and s[i] > max(s[0], 1.0) * 1e-10:
-            v = u[:, i]
-            m = v[: dim * dim].reshape(dim, dim) + 1j * v[dim * dim:].reshape(dim, dim)
-            traceless.append((m + m.conj().T) / 2)
-
-    def herm_residual(m):
-        return float(np.abs(m - m.conj().T).max())
-
-    def try_rho(rho):
-        eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-        return float(eigs.min())
-
-    candidates = [base]
-    if 1 <= len(traceless) <= 2:
-        spread = np.abs(np.linalg.eigvalsh(base)).max() + tol_pos
-        axes = []
-        for t in traceless:
-            tmax = np.abs(np.linalg.eigvalsh(t)).max()
-            axes.append(np.linspace(-2 * spread / tmax, 2 * spread / tmax, grid_points))
-        for coeffs in itertools.product(*axes):
-            candidates.append(base + sum(c * t for c, t in zip(coeffs, traceless)))
-
-    rho_found = None
-    best_min = -np.inf
-    for rho in candidates:
-        mn = try_rho(rho)
-        best_min = max(best_min, mn)
-        if mn >= -tol_pos:
-            rho_found = rho
-            break
-
-    if rho_found is None:
-        return OracleNess(kdim, None, None, False, herm_residual(base), best_min, kernel)
-
-    rho_found = rho_found / np.trace(rho_found).real
-    rep = majorana_ops(model.n, n_max)
-    d = model.dim
-    C = np.array(
-        [[np.trace(rep.w[j] @ rep.w[k] @ rho_found) for k in range(d)] for j in range(d)]
-    )
+    mixed = np.eye(dim).reshape(-1) / dim
+    rho = (kernel @ np.linalg.solve(left @ kernel, left @ mixed)).reshape(dim, dim, order="F")
+    min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
+    w = majorana_ops(sup.n).w
+    C = np.array([[np.trace(wj @ wk @ rho) for wk in w] for wj in w])
     return OracleNess(
         kdim,
-        rho_found,
+        rho,
         C,
-        True,
-        herm_residual(rho_found),
-        try_rho(rho_found),
+        min_eig >= -ORACLE_TOL_POS,
+        float(np.abs(rho - rho.conj().T).max()),
+        min_eig,
         kernel,
     )
 
@@ -417,9 +309,7 @@ def match_multisets(a: np.ndarray, b: np.ndarray) -> float:
     return float(cost[rows, cols].max())
 
 
-def largest_jordan_block_at(
-    S: np.ndarray, lam: complex, multiplicity: int, tol_rank: float = ORACLE_TOL_RANK
-) -> int:
+def largest_jordan_block_at(S: np.ndarray, lam: complex, multiplicity: int) -> int:
     """Size of the largest Jordan block of S in the eigenvalue cluster at lam.
 
     Rank staircase of (S - lam)^k with relative SVD thresholding; stops when
@@ -432,7 +322,7 @@ def largest_jordan_block_at(
     for k in range(1, multiplicity + 1):
         power = power @ Y
         sv = np.linalg.svd(power, compute_uv=False)
-        rank = int(np.sum(sv > tol_rank * max(sv[0], 1.0)))
+        rank = int(np.sum(sv > ORACLE_TOL_RANK * max(sv[0], 1.0)))
         nullity = d - rank
         if nullity == prev:
             return k - 1

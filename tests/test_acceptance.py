@@ -117,7 +117,8 @@ def test_criterion_4_quadratic_form_identity():
     models = [bundled(n) for n in ("single_qubit.json", "ising_pair.json", "ising_chain_3.json")]
     models += [random_model(1 + s % 3, seed=100 + s) for s in range(20)]
     for model in models:
-        rep = oracle.verify_quadratic_form(model)
+        sm = build_structure_matrix(model, build_bath_matrices(model))
+        rep = oracle.verify_quadratic_form(oracle.build_superoperator(model), sm)
         worst = max(worst, rep.residual)
     assert worst < 1e-9, f"max quadratic-form residual {worst:.3e}"
     sw.done(f"4 structural-identity (max residual {worst:.2e})")
@@ -134,7 +135,7 @@ def test_criterion_5_ness_covariance():
         if not stability_check(jf).all_strictly_stable:
             continue
         ds = solve_lyapunov(X, bath.M_i, jf)
-        on = oracle.oracle_ness(model)
+        on = oracle.oracle_ness(oracle.build_superoperator(model))
         assert on.kernel_dim == 1
         dev = np.abs(on.covariance - ness_covariance(ds.Z)).max()
         worst = max(worst, dev)
@@ -149,14 +150,14 @@ def test_criterion_6_degeneracy_count():
     pair = bundled("ising_pair.json")
     bath, X, jf = stage(pair)
     ness = classify_ness(jf)
-    on = oracle.oracle_ness(pair)
+    on = oracle.oracle_ness(oracle.build_superoperator(pair))
     assert ness.stationary_dim == 2
     assert on.kernel_dim == 2
 
     chain = bundled("ising_chain_3.json")
     bath3, X3, jf3 = stage(chain)
     ness3 = classify_ness(jf3)
-    on3 = oracle.oracle_ness(chain)
+    on3 = oracle.oracle_ness(oracle.build_superoperator(chain))
     assert ness3.stationary_dim > 2
     assert on3.kernel_dim == ness3.stationary_dim
     # the added spin contributes a fresh imaginary pair

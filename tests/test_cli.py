@@ -221,8 +221,8 @@ def test_verify_fails_on_parity_leak(monkeypatch, capsys):
     real_build = liouv.oracle.build_superoperator
     built = []
 
-    def leaky_superoperator(model, n_max=None):
-        sup = real_build(model, n_max)
+    def leaky_superoperator(model):
+        sup = real_build(model)
         built.append(sup)
         return dataclasses.replace(sup, matrix=sup.matrix + 1e-8 * _parity_odd_coupling(model.n))
 
@@ -242,9 +242,9 @@ def test_verify_builds_one_superoperator(monkeypatch, capsys):
     real_build = liouv.oracle.build_superoperator
     built = []
 
-    def counted(model, n_max=None):
+    def counted(model):
         built.append(model.n)
-        return real_build(model, n_max)
+        return real_build(model)
 
     monkeypatch.setattr(liouv.oracle, "build_superoperator", counted)
     assert main(["verify", model_path("ising_pair.json")]) == 0
@@ -268,6 +268,19 @@ def test_verify_builds_one_superoperator(monkeypatch, capsys):
 def test_bad_integer_arguments_exit_2(capsys, argv):
     # each used to end in a ValueError traceback, or to print an empty
     # staircase or a PASS with a meaningless argument
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", model_path("ising_pair.json"), "--n", "3"],
+    ["verify", model_path("ising_pair.json"), "--seed", "1"],
+    ["verify", model_path("ising_pair.json"), "--vectors", "1"],
+    ["verify", model_path("ising_pair.json"), "--random", "--n", "2", "--seed", "1"],
+])
+def test_verify_rejects_arguments_it_would_ignore(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -351,6 +364,13 @@ def test_comb_outputs(capsys):
     assert "agree: True" in out
 
 
+def test_comb_past_the_recursion_limit(capsys):
+    assert main(["comb", "restricted-binomial", "3000", "2"]) == 0
+    assert sum(int(v) for v in capsys.readouterr().out.split()) == math.comb(3000, 2)
+    assert main(["comb", "nilpotent-blocks", "600", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "agree: True"
+
+
 def test_comb_verify_conjecture_exit_code(capsys):
     assert main(["comb", "verify-conjecture", "6"]) == 0
     assert "PASS" in capsys.readouterr().out
@@ -369,6 +389,15 @@ def test_analyze_output_file(tmp_path, capsys):
     assert rc == 0
     report = json.loads(target.read_text())
     assert report["input"]["n"] == 2
+
+
+def test_analyze_unwritable_output_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    assert main(["analyze", model_path("ising_pair.json"), "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --output")
+    assert not target.exists()
 
 
 def test_bundled_chain_model_loads():

@@ -59,6 +59,27 @@ def test_restricted_binomial_out_of_range_zero():
     assert restricted_binomial(5, 7, 0) == 0
 
 
+def _recursive_restricted_binomial(l, m, r):
+    """The defining recursion (l m)_r = (l-1 m)_r + (l-1 m-1)_{r-l+m}, one
+    call per site, with base (0 m)_r = delta_{m,0} delta_{r,0}."""
+    if m < 0 or r < 0 or m > l or r > m * (l - m):
+        return 0
+    if l == 0:
+        return 1 if (m == 0 and r == 0) else 0
+    return (_recursive_restricted_binomial(l - 1, m, r)
+            + _recursive_restricted_binomial(l - 1, m - 1, r - l + m))
+
+
+@pytest.mark.parametrize("l", range(0, 17))
+def test_restricted_binomial_row_equals_recursion(l):
+    for m in range(-1, l + 2):
+        w = m * (l - m)
+        expected = [_recursive_restricted_binomial(l, m, r) for r in range(w + 1)]
+        assert restricted_binomial_row(l, m) == expected
+        for r in range(-1, max(w, 0) + 2):
+            assert restricted_binomial(l, m, r) == _recursive_restricted_binomial(l, m, r)
+
+
 @pytest.mark.parametrize("l", range(0, 21))
 def test_sum_rule_and_symmetry_exact(l):
     for m in range(l + 1):

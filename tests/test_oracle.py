@@ -1,10 +1,12 @@
 import dataclasses
+from importlib.resources import files
 
 import numpy as np
 import pytest
 
-from liouv import oracle
+from liouv import analyze, oracle
 from liouv.errors import TooLarge
+from liouv.io import load_model
 from liouv.lyapunov import solve_lyapunov
 from liouv.model import (
     build_bath_matrices,
@@ -13,11 +15,17 @@ from liouv.model import (
     validate_model,
 )
 from liouv.normal_modes import build_V
-from liouv.randmodel import random_model
+from liouv.randmodel import random_axis_model, random_model
 from liouv.rapidity import jordan_decompose
 from liouv.spectra import classify_ness, enumerate_spectrum, ness_covariance
+from liouv.tolerances import ORACLE_TOL_POS
 
 from conftest import build_fock_maps, dense_quadratic_form, ising_pair_model, single_qubit_model
+
+
+def quadratic_form_report(model):
+    sm = build_structure_matrix(model, build_bath_matrices(model))
+    return oracle.verify_quadratic_form(oracle.build_superoperator(model), sm)
 
 
 def full_stage(model):
@@ -93,7 +101,6 @@ def test_quadratic_form_matrix_matches_dense_loop(n):
     same order: equal bit for bit, on random and axis models, with the
     even-sector and the driving-flipped structure matrix."""
     from liouv.model import odd_sector_structure_matrix
-    from liouv.randmodel import random_axis_model
 
     maps = build_fock_maps(n)
     for seed in range(3):
@@ -143,13 +150,13 @@ def test_ising_pair_kernel_dimension():
 
 def test_quadratic_form_zero_model():
     m = validate_model(1, np.zeros((2, 2)), [])
-    rep = oracle.verify_quadratic_form(m)
+    rep = quadratic_form_report(m)
     assert rep.residual == 0.0
 
 
 def test_quadratic_form_fixtures():
     for m in (single_qubit_model(), ising_pair_model()):
-        rep = oracle.verify_quadratic_form(m)
+        rep = quadratic_form_report(m)
         assert rep.residual < 1e-10
         assert rep.parity_leak < 1e-14
 
@@ -158,18 +165,16 @@ def test_quadratic_form_fixtures():
 def test_quadratic_form_random_models(seed):
     n = 1 + seed % 3
     m = random_model(n, seed=seed, n_vectors=max(1, n - 1))
-    rep = oracle.verify_quadratic_form(m)
+    rep = quadratic_form_report(m)
     assert rep.residual < 1e-9
     assert rep.parity_leak < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_sector_eigenvalues_match_full_eigvals(n):
-    from liouv.randmodel import random_axis_model
-
     for m in (random_model(n, 40 + n), random_axis_model(n, 40 + n, 1)):
         sup = oracle.build_superoperator(m)
-        rep = oracle.verify_quadratic_form(m, superoperator=sup)
+        rep = oracle.verify_quadratic_form(sup, build_structure_matrix(m, build_bath_matrices(m)))
         assert rep.parity_leak < 1e-12
         full = np.linalg.eigvals(sup.matrix)
         assert oracle.match_multisets(rep.eigenvalues(), full) < 1e-10
@@ -177,11 +182,14 @@ def test_sector_eigenvalues_match_full_eigvals(n):
 
 def test_given_superoperator_is_the_one_used():
     m = random_model(2, seed=5)
+    sm = build_structure_matrix(m, build_bath_matrices(m))
     sup = oracle.build_superoperator(m)
-    assert oracle.verify_quadratic_form(m, superoperator=sup) == oracle.verify_quadratic_form(m)
+    assert oracle.verify_quadratic_form(sup, sm) == quadratic_form_report(m)
     zero = dataclasses.replace(sup, matrix=np.zeros_like(sup.matrix))
-    assert oracle.verify_quadratic_form(m, superoperator=zero).residual > 0.1
-    assert oracle.oracle_ness(m, superoperator=zero).kernel_dim == 16
+    assert oracle.verify_quadratic_form(zero, sm).residual > 0.1
+    on = oracle.oracle_ness(zero)
+    assert on.kernel_dim == 16
+    np.testing.assert_allclose(on.rho, np.eye(4) / 4, atol=1e-15)
 
 
 def test_single_structure_matrix_fails_on_odd_sector():
@@ -200,7 +208,7 @@ def test_single_structure_matrix_fails_on_odd_sector():
 def test_oracle_ness_unique_stable():
     m = random_model(2, seed=12)
     bath, X, sm, jf, ds = full_stage(m)
-    on = oracle.oracle_ness(m)
+    on = oracle.oracle_ness(oracle.build_superoperator(m))
     assert on.kernel_dim == 1
     assert on.positive_witness_found
     assert on.hermiticity_residual < 1e-10
@@ -211,7 +219,7 @@ def test_oracle_ness_unique_stable():
 def test_oracle_ness_ising_pair_denegerate():
     m = ising_pair_model()
     bath, X, sm, jf, ds = full_stage(m)
-    on = oracle.oracle_ness(m)
+    on = oracle.oracle_ness(oracle.build_superoperator(m))
     assert on.kernel_dim == 2
     assert on.positive_witness_found
     np.testing.assert_allclose(on.covariance, ness_covariance(ds.Z), atol=1e-8)
@@ -220,7 +228,7 @@ def test_oracle_ness_ising_pair_denegerate():
 def test_oracle_ness_even_correlators_insensitive():
     """Even monomial expectations do not depend on the degeneracy parameter."""
     m = ising_pair_model()
-    on = oracle.oracle_ness(m)
+    on = oracle.oracle_ness(oracle.build_superoperator(m))
     rep = oracle.majorana_ops(2)
     kernel = on.kernel_vectors
     # rebuild the one-parameter family rho(alpha) from the kernel
@@ -238,9 +246,56 @@ def test_oracle_ness_even_correlators_insensitive():
         np.testing.assert_allclose(C, on.covariance, atol=1e-9)
 
 
+def _bundled(name):
+    return load_model(str(files("liouv") / "models" / f"{name}.json"))[0]
+
+
+def _zero(n):
+    return validate_model(n, np.zeros((2 * n, 2 * n)), [])
+
+
+@pytest.mark.parametrize("kernel_dim, build", [
+    (1, lambda: _bundled("single_qubit")),
+    (1, lambda: random_model(3, 7)),
+    (2, lambda: _bundled("ising_pair")),
+    (4, lambda: _bundled("ising_chain_3")),
+    (4, lambda: _zero(1)),
+    (16, lambda: _zero(2)),
+    (4, lambda: random_axis_model(4, 3, 4)),
+    (8, lambda: random_axis_model(4, 3, 5)),
+    (8, lambda: random_axis_model(4, 3, 6)),
+    (16, lambda: random_axis_model(4, 3, 7)),
+    (2, lambda: random_model(1, 1, n_vectors=0)),
+    (4, lambda: random_model(2, 2, n_vectors=0)),
+    (8, lambda: random_model(3, 3, n_vectors=0)),
+    (16, lambda: random_model(4, 4, n_vectors=0)),
+], ids=["single_qubit", "random3", "ising_pair", "ising_chain_3", "zero1", "zero2",
+        "axis4", "axis5", "axis6", "axis7",
+        "hamiltonian1", "hamiltonian2", "hamiltonian3", "hamiltonian4"])
+def test_oracle_ness_state_is_a_stationary_density_matrix(kernel_dim, build):
+    """The projected maximally mixed state is a stationary, trace-one, Hermitian,
+    positive density matrix at every kernel dimension, and its two-point
+    functions are the analysis's wherever `liouv verify` compares them."""
+    m = build()
+    sup = oracle.build_superoperator(m)
+    on = oracle.oracle_ness(sup)
+    assert on.kernel_dim == kernel_dim
+    S = sup.matrix
+    rho = on.rho
+    assert np.abs(S @ rho.reshape(-1, order="F")).max() <= 1e-10 * max(np.abs(S).max(), 1.0)
+    assert abs(np.trace(rho) - 1) < 1e-12
+    assert np.abs(rho - rho.conj().T).max() < 1e-12
+    assert on.hermiticity_residual < 1e-12
+    assert np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() >= -ORACLE_TOL_POS
+    assert on.positive_witness_found
+    ness = analyze(m).ness
+    if ness.unique or (len(ness.zero_rapidity_modes) == 1 and not ness.imaginary_pair_modes):
+        np.testing.assert_allclose(on.covariance, ness.covariance, rtol=0, atol=1e-12)
+
+
 def test_oracle_ness_zero_model_full_kernel():
     m = validate_model(1, np.zeros((2, 2)), [])
-    on = oracle.oracle_ness(m)
+    on = oracle.oracle_ness(oracle.build_superoperator(m))
     assert on.kernel_dim == 4
 
 
@@ -323,7 +378,7 @@ def test_zero_mode_descriptor_realizes_dense_kernel_direction():
     assert np.linalg.norm(dir_true) > 1e-3
     assert np.linalg.norm(S_fock @ dir_true) < 1e-10
 
-    on = oracle.oracle_ness(m)
+    on = oracle.oracle_ness(oracle.build_superoperator(m))
     odd_kernel = (T.conj().T @ on.kernel_vectors)
     odd_kernel[parity > 0, :] = 0
     u, s, _ = np.linalg.svd(odd_kernel, full_matrices=False)
@@ -414,7 +469,7 @@ def test_normal_master_modes_almost_car_and_vacua():
             np.testing.assert_allclose(anti, want * np.eye(dim), atol=1e-9)
 
     # vacua: every annihilation mode kills |NESS>, every creation mode kills <1|
-    on = oracle.oracle_ness(m)
+    on = oracle.oracle_ness(oracle.build_superoperator(m))
     T = oracle.fock_basis_transform(2)
     ness_coeff = T.conj().T @ on.rho.reshape(-1, order="F")
     one_dual = np.zeros(dim)
