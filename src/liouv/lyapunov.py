@@ -7,10 +7,12 @@ Algebra Appl. 85 (1987) 267).  It costs O(d^3) time and O(d^2) memory and
 requires Re beta > 0 for every rapidity, so that sign(X) = 1.  When rapidity
 pairs sum to (numerically) zero the system is singular and the solve switches
 to the Jordan basis, where the operator Delta^T (x) 1 + 1 (x) Delta^T is lower
-triangular: forward substitution, with each vanishing diagonal entry checked
-against the vanishing of its right-hand side (the omega coefficients, which
-are analytically zero for a genuine PSD bath) and the corresponding free
-coefficient fixed to zero.
+triangular.  Position (i, j) there depends only on positions one level lower,
+the level being the sum of the two offsets within their chains, so the
+substitution is one whole-matrix sweep per level.  Each vanishing diagonal
+entry is checked against the vanishing of its right-hand side (the omega
+coefficients, which are analytically zero for a genuine PSD bath) and the
+corresponding free coefficient is fixed to zero.
 """
 
 from __future__ import annotations
@@ -110,10 +112,10 @@ def _pair_diagnostics(X, M_i, jf, tol, scale):
     form reduced to the same vectors (PSD, equal to +-iK).
     """
     Mr = (X + X.T) / 4
+    partner = dict(jf.conjugate_pairing)
     zero_diag = None
     imag_diag = []
-    groups = jf.rapidities()
-    for j, beta, idxs in groups:
+    for j, beta, idxs in jf.rapidities():
         if abs(beta) <= tol * scale:
             pos = tuple(jf.blocks[i].chain_start for i in idxs)
             U = jf.P[:, list(pos)].real
@@ -121,11 +123,8 @@ def _pair_diagnostics(X, M_i, jf, tol, scale):
             Q = U.T @ (Mr + 1j * M_i) @ U
             zero_diag = ZeroModeDiagnostics(pos, K, Q)
         elif abs(beta.real) <= tol * scale and beta.imag > 0:
-            partner = next(
-                (jp, idxp) for jp, bp, idxp in groups if abs(bp - beta.conjugate()) <= tol * scale
-            )
             pos_p = tuple(jf.blocks[i].chain_start for i in idxs)
-            pos_m = tuple(jf.blocks[i].chain_start for i in partner[1])
+            pos_m = tuple(jf.blocks[partner[i]].chain_start for i in idxs)
             Up = jf.P[:, list(pos_p)]
             Um = jf.P[:, list(pos_m)]
             K = Up.T @ M_i @ Um
@@ -149,11 +148,12 @@ def solve_lyapunov(
 
     method: "auto" picks the dense sign-iteration solve (O(d^3) time, O(d^2)
     memory) unless some pair of rapidities sums to ~0 (relative
-    tol * ||X||_2), in which case the Jordan-basis forward substitution is
-    used; "dense"/"jordan" force a path.  The dense path needs Re beta > 0 for
-    every rapidity (guaranteed in the pipeline once the stability check has
-    passed and the singular pairs have been routed to the Jordan path); it
-    raises LinAlgError when that fails or the iteration does not converge.
+    tol * ||X||_2), in which case the Jordan-basis substitution (level
+    sweeps) is used; "dense"/"jordan" force a path.  The dense path needs
+    Re beta > 0 for every rapidity (guaranteed in the pipeline once the
+    stability check has passed and the singular pairs have been routed to the
+    Jordan path); it raises LinAlgError when that fails or the iteration does
+    not converge.
     The Jordan path zeroes every free coefficient, counts the independent ones
     (unordered off-diagonal pairs), and verifies the omega conditions.
     """
@@ -199,46 +199,37 @@ def solve_lyapunov(
     # Jordan-basis path
     F = jf.P.T @ M_i @ jf.P
     f_scale = max(np.abs(F).max(), np.finfo(float).tiny)
+    # G[i, j] needs G[i-1, j] when link[i] and G[i, j-1] when link[j]: one
+    # whole-matrix sweep per level (sum of the two offsets within their chains)
+    # finalises that level, with the subtractions in the per-position order
+    rows = np.flatnonzero(link)
+    G = np.zeros((d, d), dtype=complex)
+    for _ in range(2 * max((b.size for b in jf.blocks), default=1) - 1):
+        s = F.copy()
+        s[rows] -= G[rows - 1]
+        s[:, rows] -= G[:, rows - 1]
+        G = np.divide(s, denoms, out=np.zeros((d, d), dtype=complex), where=regular)
+
+    # the singular positions in row-major order: each free coefficient stays
+    # zero and its right-hand side (an omega coefficient) must vanish
+    long_block = link | np.append(link[1:], False)
     omega_checks = []
     free_pairs = set()
-
-    def singular(i: int, j: int, s: complex) -> None:
-        omega_checks.append((i * d + j, float(abs(s))))
-        if abs(s) > tol_omega * f_scale:
+    for i, j in zip(*(ix.tolist() for ix in np.nonzero(~regular))):
+        if long_block[i] or long_block[j]:
+            raise NontrivialImaginaryBlock(
+                "vanishing diagonal inside a nontrivial Jordan block"
+            )
+        omega = abs(F[i, j])
+        omega_checks.append((i * d + j, float(omega)))
+        if omega > tol_omega * f_scale:
             raise InconsistentSingularSystem(
-                f"omega_{i * d + j} = {abs(s):.3e} does not vanish "
+                f"omega_{i * d + j} = {omega:.3e} does not vanish "
                 f"(relative to |P^T M_i P| = {f_scale:.3e}); the bath "
                 "matrix cannot be PSD or tolerances are inconsistent"
             )
         if i != j:
             free_pairs.add((min(i, j), max(i, j)))
-
-    if link.any():
-        G = np.zeros((d, d), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                s = F[i, j]
-                if link[i]:
-                    s -= G[i - 1, j]
-                if link[j]:
-                    s -= G[i, j - 1]
-                if regular[i, j]:
-                    G[i, j] = s / denoms[i, j]
-                else:
-                    in_big_i = link[i] or (i + 1 < d and link[i + 1])
-                    in_big_j = link[j] or (j + 1 < d and link[j + 1])
-                    if in_big_i or in_big_j:
-                        raise NontrivialImaginaryBlock(
-                            "vanishing diagonal inside a nontrivial Jordan block"
-                        )
-                    singular(i, j, s)
-    else:
-        # all blocks trivial: no position depends on another, so the
-        # substitution is one elementwise division plus the singular positions
-        # in row-major order
-        G = np.divide(F, denoms, out=np.zeros((d, d), dtype=complex), where=regular)
-        for i, j in zip(*(ix.tolist() for ix in np.nonzero(~regular))):
-            singular(i, j, F[i, j])
 
     Z_raw = jf.P_inv.T @ G @ jf.P_inv
     imag_residue = float(np.abs(Z_raw.imag).max())

@@ -45,9 +45,10 @@ class JordanBlockDescriptor:
 class JordanForm:
     """X = P Delta P^-1 with Delta assembled from `blocks`.
 
-    conjugate_pairing maps each block index to the block of the conjugate
-    rapidity (itself for real rapidities); paired chains are entrywise
-    conjugate by construction.
+    conjugate_pairing lists (block index, index of its conjugate block), one
+    pair per block in block order: itself for a real rapidity, the mirrored
+    chain for a non-real one.  jordan_decompose records each pair when it
+    builds the chains, and paired chains are entrywise conjugate.
     """
 
     P: np.ndarray
@@ -263,15 +264,15 @@ def jordan_decompose(
 
     Eigenvalues within tol_cluster * ||X||_2 are merged into one rapidity.
     Real rapidities get real chains; non-real rapidities are computed for
-    Im beta > 0 only and mirrored by conjugation, so conjugate pairing holds
-    by construction.
+    Im beta > 0 only and mirrored by conjugation, and each chain is recorded
+    with its conjugate partner as it is built (conjugate_pairing).
     """
     X = np.asarray(X, dtype=float)
     d = X.shape[0]
     if X.shape != (d, d):
         raise ValueError("X must be square")
     x_norm = float(np.linalg.norm(X, 2)) if d else 0.0
-    scale = max(x_norm, 1.0)
+    scale = max(x_norm, np.finfo(float).tiny)
 
     eigvals, eigvecs = np.linalg.eig(X)
     clusters = _cluster(eigvals, tol_cluster * scale)
@@ -290,38 +291,35 @@ def jordan_decompose(
             return [1], [eigvecs[:, [i]]], False
         return _chains_for_rapidity(X, beta, len(idx), tol_rank, x_norm)
 
-    entries = []  # (beta, sizes, chains) for real and Im>0 representatives
-    mirrored = []  # (beta_conj, sizes, conj chains)
+    # (beta, size, chain, index of the conjugate chain in this list): a real
+    # rapidity's chain is its own partner, an Im > 0 chain is followed by its mirror
+    flat = []
     for idx, mean in zip(clusters, means):
         if abs(mean.imag) <= tol_cluster * scale:
             beta = complex(mean.real)
             sizes, chains, bl = chains_for(beta.real, idx)
-            chains = [c.real.astype(complex) for c in chains]
-            entries.append((beta, sizes, chains))
-            ill = ill or bl
+            for size, chain in zip(sizes, chains):
+                flat.append((beta, size, chain.real.astype(complex), len(flat)))
         elif mean.imag > 0:
             beta = mean
             sizes, chains, bl = chains_for(beta, idx)
-            entries.append((beta, sizes, chains))
-            mirrored.append((beta.conjugate(), sizes, [c.conj() for c in chains]))
-            ill = ill or bl
+            for size, chain in zip(sizes, chains):
+                flat.append((beta, size, chain, len(flat) + 1))
+                flat.append((beta.conjugate(), size, chain.conj(), len(flat) - 1))
         else:
             continue  # handled by the conjugate representative
-    # sanity: every Im<0 cluster must have had an Im>0 partner of equal size
+        ill = ill or bl
+    # sanity: every Im<0 cluster must have had an Im>0 partner
+    n_pos = sum(1 for m in means if m.imag > tol_cluster * scale)
     n_neg = sum(1 for m in means if m.imag < -tol_cluster * scale)
-    if n_neg != len(mirrored):
+    if n_neg != n_pos:
         raise InternalInvariantViolated("conjugate cluster pairing failed")
 
-    entries.extend(mirrored)
-
-    flat = []  # (beta, size, chain)
-    for beta, sizes, chains in entries:
-        for size, chain in zip(sizes, chains):
-            flat.append([beta, size, chain])
     order = sorted(
         range(len(flat)),
         key=lambda i: (flat[i][0].real, flat[i][0].imag, -flat[i][1]),
     )
+    position = {i: p for p, i in enumerate(order)}
 
     blocks = []
     columns = []
@@ -330,7 +328,7 @@ def jordan_decompose(
     k_label = 0
     prev_beta = None
     for i in order:
-        beta, size, chain = flat[i]
+        beta, size, chain, _ = flat[i]
         if prev_beta is None or beta != prev_beta:
             j_label += 1
             k_label = 1
@@ -342,17 +340,6 @@ def jordan_decompose(
         start += size
     if start != d:
         raise InternalInvariantViolated(f"block sizes sum to {start}, expected {d}")
-
-    by_key: dict[tuple[complex, int], list[int]] = {}
-    for idx, b in enumerate(blocks):
-        by_key.setdefault((b.rapidity, b.size), []).append(idx)
-    pairing = []
-    for (beta, size), idxs in by_key.items():
-        partners = by_key.get((beta.conjugate(), size))
-        if partners is None or len(partners) != len(idxs):
-            raise InternalInvariantViolated("conjugate pairing incomplete")
-        pairing.extend(zip(idxs, partners))
-    pairing.sort()
 
     P = np.column_stack(columns) if columns else np.zeros((d, 0))
     cond_P = float(np.linalg.cond(P))
@@ -367,7 +354,7 @@ def jordan_decompose(
         P=P,
         P_inv=P_inv,
         blocks=tuple(blocks),
-        conjugate_pairing=tuple(pairing),
+        conjugate_pairing=tuple(enumerate(position[flat[i][3]] for i in order)),
         x_norm=x_norm,
         cond_P=cond_P,
         reconstruction_residual=float(recon),

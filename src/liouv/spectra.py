@@ -178,7 +178,7 @@ def enumerate_spectrum(
         raise AssertionError("dimension sum rule violated")  # unreachable
 
     scale = float(complex_abs(lam).max(initial=0.0))
-    tol = tol_merge * max(scale, 1.0)
+    tol = tol_merge * max(scale, np.finfo(float).tiny)
     starts = np.flatnonzero(np.concatenate(([True], complex_abs(np.diff(lam)) > tol)))
     ends = np.append(starts[1:], len(lam))
     merged_dim = np.add.reduceat(dim, starts)
@@ -249,25 +249,21 @@ def classify_ness(
     subset sums are built by doubling, one axis mode at a time.
     """
     report = stability if stability is not None else stability_check(jf, tol)
+    partner = dict(jf.conjugate_pairing)
     zero_modes = []
     imag_modes = []
     axis_betas = []
-    for cls in report.classes:
-        blocks_jk = [(b.j, b.k) for b in jf.blocks if b.j == cls.j]
+    for cls, (_, _, idxs) in zip(report.classes, jf.rapidities()):
+        blocks_jk = [(jf.blocks[i].j, jf.blocks[i].k) for i in idxs]
         if cls.kind == "zero":
             zero_modes.extend(blocks_jk)
-            axis_betas.extend([0.0 + 0.0j] * len(blocks_jk))
+            axis_betas.extend([0.0 + 0.0j] * len(idxs))
         elif cls.kind == "imaginary":
-            axis_betas.extend([cls.rapidity] * len(blocks_jk))
+            axis_betas.extend([cls.rapidity] * len(idxs))
             if cls.rapidity.imag > 0:
-                partner = next(
-                    c for c in report.classes
-                    if c.kind == "imaginary"
-                    and abs(c.rapidity - cls.rapidity.conjugate()) <= report.tol * max(jf.x_norm, 1.0)
-                )
-                partner_blocks = [(b.j, b.k) for b in jf.blocks if b.j == partner.j]
+                partner_jk = [(jf.blocks[partner[i]].j, jf.blocks[partner[i]].k) for i in idxs]
                 for (j, k) in blocks_jk:
-                    for (jp, kp) in partner_blocks:
+                    for (jp, kp) in partner_jk:
                         imag_modes.append((j, jp, k, kp, "+"))
                         imag_modes.append((j, jp, k, kp, "-"))
 
@@ -275,7 +271,7 @@ def classify_ness(
         raise SpectrumTooLarge(
             f"{len(axis_betas)} axis modes exceed the stationary-dim enumeration cap"
         )
-    scale = max(jf.x_norm, 1.0)
+    scale = max(jf.x_norm, np.finfo(float).tiny)
     # sums[i] adds the betas of the set bits of i in list order, as the
     # subset loop over occupations would
     sums = np.zeros(2 ** len(axis_betas), complex)

@@ -56,6 +56,33 @@ def ising_pair_display_model(g1=GAMMA1, g2=GAMMA2, j=J_COUPLING):
     return validate_model(2, K, [l1, l2])
 
 
+def critical_plus_decoupled(copies, pairs, b, seed, theta=np.pi / 3):
+    """`copies` single qubits at the defective point h* = cos(theta), rotated
+    together by a Haar-random orthogonal matrix drawn from `seed` (one real
+    rapidity with `copies` Jordan 2-blocks), plus `pairs` decoupled
+    Hamiltonian pairs with rapidities +-i b (p + 1), p = 0..pairs-1, and no
+    bath; b = 0 makes them zero modes.  The Lyapunov solve takes the Jordan
+    path and walks the linked chains of the 2-blocks."""
+    dc = 2 * copies
+    d = dc + 2 * pairs
+    K = np.zeros((d, d))
+    vectors = []
+    for c in range(copies):
+        K[2 * c, 2 * c + 1], K[2 * c + 1, 2 * c] = np.cos(theta), -np.cos(theta)
+        v = np.zeros(d, dtype=complex)
+        v[2 * c], v[2 * c + 1] = 1.0, np.exp(1j * theta)
+        vectors.append(v)
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((dc, dc)))
+    O = np.eye(d)
+    O[:dc, :dc] = q * np.sign(np.diag(r))
+    K = O @ K @ O.T
+    for p in range(pairs):
+        i = dc + 2 * p
+        # X = 2K on the pair: eigenvalues +-2i K[i, i+1]
+        K[i, i + 1], K[i + 1, i] = b * (p + 1) / 2, -b * (p + 1) / 2
+    return validate_model(copies + pairs, K, [O @ v for v in vectors])
+
+
 def seventy_block_result():
     """The single-qubit analysis with its spectrum replaced by that of one
     70-block: 4^35 = 2^70 overflows int64, so the dims are Python ints."""

@@ -14,7 +14,14 @@ from liouv.randmodel import random_axis_model, random_model
 from liouv.rapidity import jordan_decompose, stability_check
 from liouv.tolerances import DEFAULTS
 
-from conftest import GAMMA_M, GAMMA_P, J_COUPLING, ising_pair_model, single_qubit_model
+from conftest import (
+    GAMMA_M,
+    GAMMA_P,
+    J_COUPLING,
+    critical_plus_decoupled,
+    ising_pair_model,
+    single_qubit_model,
+)
 
 
 def closed_form_Z(gp=GAMMA_P, gm=GAMMA_M, j=J_COUPLING):
@@ -238,8 +245,8 @@ def test_dense_path_does_not_load_scipy_linalg():
 
 
 def _jordan_path_reference(M_i, jf):
-    """The per-position forward substitution the trivial-block path replaced,
-    kept verbatim as the reference: (Z, omega_checks, free pair count)."""
+    """The per-position forward substitution the level sweeps replaced, kept
+    verbatim as the reference: (Z, omega_checks, free pair count)."""
     tol, tol_omega = DEFAULTS.tol_lyap, DEFAULTS.tol_omega
     d = jf.dim
     scale = max(jf.x_norm, np.finfo(float).tiny)
@@ -281,6 +288,23 @@ def _jordan_path_reference(M_i, jf):
 def test_trivial_block_jordan_path_matches_loop(n, seed, decoupled):
     bath, X, jf = stage(random_axis_model(n, seed=seed, decoupled=decoupled))
     assert all(b.size == 1 for b in jf.blocks)
+    ds = solve_lyapunov(X, bath.M_i, jf)
+    assert ds.method == "jordan"
+    Z, omega_checks, free = _jordan_path_reference(bath.M_i, jf)
+    assert np.array_equal(ds.Z, Z)
+    assert list(ds.omega_checks) == omega_checks
+    assert ds.free_parameter_count == free
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3])
+@pytest.mark.parametrize("pairs", [1, 2])
+@pytest.mark.parametrize("b", [0.7, 0.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_linked_jordan_path_matches_loop(copies, pairs, b, seed):
+    # Jordan 2-blocks at a stable rapidity next to axis modes: the singular
+    # pairs route the solve to the Jordan path, whose sweeps walk the chains
+    bath, X, jf = stage(critical_plus_decoupled(copies, pairs, b, seed))
+    assert sorted(blk.size for blk in jf.blocks) == [1] * 2 * pairs + [2] * copies
     ds = solve_lyapunov(X, bath.M_i, jf)
     assert ds.method == "jordan"
     Z, omega_checks, free = _jordan_path_reference(bath.M_i, jf)

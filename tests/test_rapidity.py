@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,13 @@ from liouv.randmodel import random_axis_model, random_model
 from liouv.rapidity import jordan_decompose, spectral_gap, stability_check
 from liouv.model import validate_model
 
-from conftest import GAMMA_P, J_COUPLING, ising_pair_model, single_qubit_model
+from conftest import (
+    GAMMA_P,
+    J_COUPLING,
+    critical_plus_decoupled,
+    ising_pair_model,
+    single_qubit_model,
+)
 
 
 def model_X(m):
@@ -69,6 +77,42 @@ def test_conjugate_pairing_and_real_columns():
         np.testing.assert_allclose(pcol, col.conj(), atol=1e-12)
         if b.rapidity.imag == 0:
             assert np.abs(col.imag).max() < 1e-12
+
+
+def _pairing_by_search(jf):
+    """The (rapidity, size) search that derived conjugate_pairing from the
+    sorted blocks before the pairs were recorded with the chains, kept as the
+    reference."""
+    by_key = {}
+    for idx, b in enumerate(jf.blocks):
+        by_key.setdefault((b.rapidity, b.size), []).append(idx)
+    pairing = []
+    for (beta, size), idxs in by_key.items():
+        partners = by_key[(beta.conjugate(), size)]
+        assert len(partners) == len(idxs)
+        pairing.extend(zip(idxs, partners))
+    return tuple(sorted(pairing))
+
+
+def _complex_defective_pair_X(a=0.7, b=1.3):
+    """Realification of a 2-block at a+bi: a 2-block at each of a+-bi."""
+    return np.array([[a, -b, 1, 0], [b, a, 0, 1], [0, 0, a, -b], [0, 0, b, a]])
+
+
+@pytest.mark.parametrize(
+    "X, tol_cluster",
+    [(model_X(single_qubit_model()), 1e-7), (model_X(ising_pair_model()), 1e-7),
+     (_complex_defective_pair_X(), 1e-4)]
+    + [(model_X(random_model(1 + seed % 5, seed)), 1e-7) for seed in range(10)]
+    + [(model_X(random_axis_model(n, seed, decoupled)), 1e-7)
+       for n, seed, decoupled in [(2, 0, 1), (2, 3, 2), (3, 3, 3), (4, 1, 4), (6, 3, 6)]]
+    + [(model_X(critical_plus_decoupled(copies, pairs, b, 0)), 1e-7)
+       for copies, pairs, b in [(1, 1, 0.7), (2, 2, 0.7), (3, 2, 0.0)]],
+)
+def test_recorded_pairing_matches_search(X, tol_cluster):
+    jf = jordan_decompose(X, tol_cluster=tol_cluster)
+    assert jf.conjugate_pairing == _pairing_by_search(jf)
+    assert [i for i, _ in jf.conjugate_pairing] == list(range(len(jf.blocks)))
 
 
 def test_deterministic_block_order():
@@ -153,10 +197,7 @@ def test_complex_defective_conjugate_pair():
     # realification of a size-2 block at a+bi: each of a+-bi gets one 2-block,
     # with entrywise-conjugate chains
     a, b = 0.7, 1.3
-    X = np.array(
-        [[a, -b, 1, 0], [b, a, 0, 1], [0, 0, a, -b], [0, 0, b, a]]
-    )
-    jf = jordan_decompose(X, tol_cluster=1e-4)
+    jf = jordan_decompose(_complex_defective_pair_X(a, b), tol_cluster=1e-4)
     got = sorted(
         ((blk.rapidity, blk.size) for blk in jf.blocks),
         key=lambda t: (t[0].real, t[0].imag),
@@ -424,3 +465,25 @@ def test_rank_tolerance_at_rounding_level_keeps_staircase_decision(monkeypatch):
     jf = jordan_decompose(X, tol_rank=1e-15)
     assert ref.ill_conditioned and jf.ill_conditioned
     assert [(b.rapidity, b.size) for b in jf.blocks] == [(b.rapidity, b.size) for b in ref.blocks]
+
+
+def _scaled(m, s):
+    """K -> sK and l -> sqrt(s) l, so that X -> sX."""
+    return validate_model(m.n, s * m.K, [np.sqrt(s) * l for l in m.lindblad_vectors])
+
+
+@pytest.mark.parametrize("model", [random_model(4, 3), random_axis_model(4, 3, 3)])
+@pytest.mark.parametrize("s", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+def test_analysis_is_scale_covariant(model, s):
+    # every threshold is relative to ||X||_2, with no absolute floor at 1
+    from liouv.analysis import analyze
+    from liouv.oracle import match_multisets
+
+    ref, got = analyze(model), analyze(_scaled(model, s))
+    rapidities = [np.array([b.rapidity for b in r.jordan.blocks]) for r in (ref, got)]
+    assert match_multisets(rapidities[0], rapidities[1] / s) <= 1e-10 * ref.jordan.x_norm
+    # the order of axis rapidities follows real parts at rounding level, so
+    # the classes are compared as multisets
+    classes = [Counter((c.kind, c.block_sizes) for c in r.stability.classes) for r in (ref, got)]
+    assert classes[0] == classes[1]
+    assert got.ness.stationary_dim == ref.ness.stationary_dim

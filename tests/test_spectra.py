@@ -11,7 +11,7 @@ from liouv.errors import SpectrumTooLarge
 from liouv.model import build_bath_matrices, build_X
 from liouv.lyapunov import solve_lyapunov
 from liouv.randmodel import random_axis_model, random_model
-from liouv.rapidity import jordan_decompose
+from liouv.rapidity import jordan_decompose, stability_check
 from liouv.spectra import (
     attach_covariance,
     classify_ness,
@@ -24,6 +24,7 @@ from conftest import (
     GAMMA_M,
     GAMMA_P,
     J_COUPLING,
+    critical_plus_decoupled,
     ising_pair_model,
     seventy_block_result,
     single_qubit_model,
@@ -171,6 +172,39 @@ def test_classify_zero_plus_pair():
     assert report.stationary_dim == 4
 
 
+def imaginary_pair_modes_by_search(jf, report):
+    """The partner search classify_ness ran before it read the recorded
+    conjugate pairing: for each Im > 0 imaginary class, the first imaginary
+    class within tol * max(||X||, 1) of its conjugate, and every block pair."""
+    modes = []
+    for cls in report.classes:
+        if cls.kind != "imaginary" or cls.rapidity.imag <= 0:
+            continue
+        partner = next(
+            c for c in report.classes
+            if c.kind == "imaginary"
+            and abs(c.rapidity - cls.rapidity.conjugate()) <= report.tol * max(jf.x_norm, 1.0)
+        )
+        for (j, k) in [(b.j, b.k) for b in jf.blocks if b.j == cls.j]:
+            for (jp, kp) in [(b.j, b.k) for b in jf.blocks if b.j == partner.j]:
+                modes.append((j, jp, k, kp, "+"))
+                modes.append((j, jp, k, kp, "-"))
+    return tuple(modes)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [random_axis_model(n, seed, decoupled) for n, seed, decoupled in
+     [(2, 5, 2), (3, 5, 3), (4, 1, 4), (5, 7, 7), (6, 3, 6), (8, 4, 12), (9, 2, 16)]]
+    + [critical_plus_decoupled(copies, pairs, b, seed) for copies, pairs, b, seed in
+       [(1, 2, 0.7, 0), (2, 2, 0.7, 1), (3, 1, 0.0, 2)]],
+)
+def test_imaginary_pair_modes_match_search(model):
+    _, _, jf = jordan_of(model)
+    report = classify_ness(jf)
+    assert report.imaginary_pair_modes == imaginary_pair_modes_by_search(jf, stability_check(jf))
+
+
 def test_covariance_trivial():
     C = ness_covariance(np.zeros((4, 4)))
     np.testing.assert_array_equal(C, np.eye(4))
@@ -204,8 +238,6 @@ def test_physicality_bound_for_unique_ness(seed):
     # a genuine fermionic covariance needs all singular values of 4Z <= 1
     m = random_model(1 + seed % 3, seed=400 + seed)
     bath, X, jf = jordan_of(m)
-    from liouv.rapidity import stability_check
-
     if not stability_check(jf).all_strictly_stable:
         pytest.skip("not strictly stable")
     ds = solve_lyapunov(X, bath.M_i, jf)
@@ -360,8 +392,6 @@ def test_dimensions_past_int64_stay_exact():
 def reference_stationary_dim(jf, tol=1e-8):
     """The subset loop the doubling count replaced: every 0/1 occupation of the
     axis modes, summed in block order."""
-    from liouv.rapidity import stability_check
-
     report = stability_check(jf, tol)
     axis_betas = []
     for cls in report.classes:
@@ -370,7 +400,7 @@ def reference_stationary_dim(jf, tol=1e-8):
             axis_betas.extend([0.0 + 0.0j] * count)
         elif cls.kind == "imaginary":
             axis_betas.extend([cls.rapidity] * count)
-    scale = max(jf.x_norm, 1.0)
+    scale = max(jf.x_norm, np.finfo(float).tiny)
     stationary = 0
     for bits in itertools.product((0, 1), repeat=len(axis_betas)):
         s = sum(m * b for m, b in zip(bits, axis_betas))
