@@ -11,7 +11,7 @@ coefficient), and all two-point functions are family-independent.
 import numpy as np
 
 from liouv import analyze, ness_covariance, validate_model
-from liouv.oracle import build_superoperator, majorana_ops, oracle_ness
+from liouv.oracle import build_superoperator, majorana_ops, oracle_ness, verify_quadratic_form
 
 G1, G2, J = 0.3, 0.5, 0.7
 GP, GM = G2 + G1, G2 - G1
@@ -37,9 +37,10 @@ print(f"\ndriving solution unique: {result.driving.unique} "
       f"(free parameters: {result.driving.free_parameter_count})")
 print(f"|Z - closed form|_max = {np.abs(result.driving.Z - Z_closed).max():.2e}")
 
-# brute force: the dense generator's kernel, and the correlators of the steady
-# state the dynamics reaches from the maximally mixed state
-on = oracle_ness(build_superoperator(model))
+# brute force: the dense generator's kernel, from its two real parity blocks,
+# and the correlators of the steady state the dynamics reaches from the
+# maximally mixed state
+on = oracle_ness(verify_quadratic_form(build_superoperator(model), result.structure))
 print(f"\ndense-generator kernel dimension: {on.kernel_dim}")
 C_fast = ness_covariance(result.driving.Z)
 print(f"|C_oracle - (1 + 4i Z^T)|_max = {np.abs(on.covariance - C_fast).max():.2e}")

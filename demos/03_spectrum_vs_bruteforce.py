@@ -25,7 +25,7 @@ for seed in (5, 17):
 
     theory = eigenvalue_multiset_from_enumeration(result.spectrum.entries)
     dense = np.linalg.eigvals(sup.matrix)
-    dev = match_multisets(theory, dense)
+    dev = match_multisets(theory, dense).deviation
     qf = verify_quadratic_form(sup, result.structure)
 
     print(f"model n={n} seed={seed}:")

@@ -102,13 +102,19 @@ def cmd_verify(args) -> int:
     qf = oracle.verify_quadratic_form(sup, result.structure)
     print(f"  quadratic-form residual: even {qf.residual_even:.3e}, "
           f"odd {qf.residual_odd:.3e}, parity leak {qf.parity_leak:.3e}")
+    print(f"  Hermitian-basis imaginary residual: {qf.imaginary_residual:.3e}")
 
-    # the sector eigenvalues are the spectrum because the leak gates PASS below
+    # the real sector eigenvalues are the spectrum because the leak and the
+    # imaginary residual gate PASS below
     theory = oracle.eigenvalue_multiset_from_enumeration(result.spectrum.entries)
-    spec_dev = oracle.match_multisets(theory, np.sort_complex(qf.eigenvalues()))
-    print(f"  spectrum multiset deviation: {spec_dev:.3e}")
+    match = oracle.match_multisets(theory, np.sort_complex(qf.eigenvalues()))
+    spec = oracle.check_spectrum(result.spectrum, match)
+    print(f"  spectrum multiset deviation: {spec.eigenvalue_deviation:.3e}")
+    counts = "ok" if spec.count_mismatches == 0 else f"{spec.count_mismatches} MISMATCH"
+    print(f"  defective-group mean deviation: {spec.group_mean_deviation:.3e} "
+          f"(defective groups {spec.defective_groups}, counts {counts})")
 
-    ness = oracle.oracle_ness(sup)
+    ness = oracle.oracle_ness(qf)
     kernel_ok = ness.kernel_dim == result.ness.stationary_dim
     print(f"  kernel dim {ness.kernel_dim} vs stationary_dim {result.ness.stationary_dim}: "
           f"{'ok' if kernel_ok else 'MISMATCH'}")
@@ -127,7 +133,10 @@ def cmd_verify(args) -> int:
     ok = (
         qf.residual < VERIFY_QUADRATIC_FORM_MAX
         and qf.parity_leak < VERIFY_QUADRATIC_FORM_MAX
-        and spec_dev < VERIFY_SPECTRUM_MAX
+        and qf.imaginary_residual < VERIFY_QUADRATIC_FORM_MAX
+        and spec.eigenvalue_deviation < VERIFY_SPECTRUM_MAX
+        and spec.group_mean_deviation < VERIFY_SPECTRUM_MAX
+        and spec.count_mismatches == 0
         and kernel_ok
         and (cov_dev is None or cov_dev < VERIFY_COVARIANCE_MAX)
     )

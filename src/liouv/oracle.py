@@ -5,7 +5,8 @@ Explicit Jordan-Wigner Majorana matrices on the 2^n Hilbert space, the dense
 Majorana maps on the operator Fock basis P_alpha as signed permutations, and
 the comparisons that pin the fast path: the quadratic-form identity per parity
 sector, spectrum multisets, and steady-state correlators.  Every check takes
-the generator it checks, built once by `build_superoperator`.
+the generator it checks, built once by `build_superoperator`; the spectrum and
+the kernel come from its two real parity blocks in the Hermitian basis.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from .errors import BuildInvariantViolated, InputError, TooLarge
 from .model import QuadraticLindbladModel, StructureMatrix, odd_sector_structure_matrix
+from .spectra import SpectrumEnumeration
 from .tolerances import ORACLE_TOL_KERNEL, ORACLE_TOL_POS, ORACLE_TOL_RANK, ORACLE_TOL_TRACE
 
 DEFAULT_NMAX = 5
@@ -123,24 +125,24 @@ def _alpha_bits(n: int) -> np.ndarray:
     return (np.arange(4**n)[None, :] >> np.arange(2 * n)[:, None]) & 1
 
 
-def pauli_basis_matrices(n: int) -> list[np.ndarray]:
-    """Orthonormal Majorana monomials P_alpha = 2^{-n/2} w_1^a1 ... w_2n^a2n."""
-    rep = majorana_ops(n)
-    dim = 2**n
-    out = []
-    for alpha in _alpha_bits(n).T:
-        mat = np.eye(dim, dtype=complex) * 2 ** (-n / 2)
-        for j, bit in enumerate(alpha):
-            if bit:
-                mat = mat @ rep.w[j]
-        out.append(mat)
-    return out
-
-
 def fock_basis_transform(n: int) -> np.ndarray:
-    """Unitary T with columns vec(P_alpha): maps P_alpha coefficients to vec."""
-    mats = pauli_basis_matrices(n)
-    return np.column_stack([m.reshape(-1, order="F") for m in mats])
+    """Unitary T with columns vec(P_alpha): maps P_alpha coefficients to vec.
+
+    The monomials with highest Majorana j are those below j times w_j on the
+    right, so 2n batched products build all 4^n; each performs the matrix
+    products of the monomial's own chain 2^{-n/2} w_1^a1 ... w_2n^a2n.
+    """
+    mats = np.eye(2**n, dtype=complex)[None] * 2 ** (-n / 2)
+    for wj in majorana_ops(n).w:
+        mats = np.concatenate([mats, mats @ wj])
+    return mats.transpose(0, 2, 1).reshape(4**n, -1).T
+
+
+def hermitian_phases(n: int) -> np.ndarray:
+    """i^{k(k-1)/2}, k = |alpha|: Q_alpha = i^{k(k-1)/2} P_alpha is Hermitian,
+    since reversing the k Majoranas of P_alpha gives the sign (-1)^{k(k-1)/2}."""
+    k = _alpha_bits(n).sum(axis=0)
+    return np.array([1, 1j, -1, -1j])[(k * (k - 1) // 2) % 4]
 
 
 def fock_parity_even(n: int) -> np.ndarray:
@@ -188,20 +190,28 @@ def quadratic_form_matrix(sm_A: np.ndarray, A0: float, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadraticFormReport:
-    """Residuals of the quadratic-form identity against the dense generator.
+    """The dense generator in the Hermitian basis, and the certificates that
+    make its two real parity blocks the whole generator.
 
-    The identity holds on the even-parity sector with the structure matrix A,
-    and on the odd sector with the driving-flipped matrix; `residual` is the
-    max of the two.  parity_leak measures how well the dense generator itself
-    preserves parity (machine precision).  even and odd are the generator's
-    blocks on the two sectors in the P_alpha basis.
+    The quadratic-form identity holds on the even-parity sector with the
+    structure matrix A, and on the odd sector with the driving-flipped matrix;
+    `residual` is the max of the two.  parity_leak measures how well the dense
+    generator preserves parity, imaginary_residual how well it maps Hermitian
+    operators to Hermitian ones: max|Im Q^dag S Q| over max(max|Q^dag S Q|, 1),
+    both machine precision.  even and odd are the real parts of the generator's
+    blocks on the two sectors in the Hermitian basis Q_alpha; even_basis and
+    odd_basis hold the vec(Q_alpha) of each sector as columns.
     """
 
+    n: int
     residual_even: float
     residual_odd: float
     parity_leak: float
+    imaginary_residual: float
     even: np.ndarray = field(repr=False, compare=False)
     odd: np.ndarray = field(repr=False, compare=False)
+    even_basis: np.ndarray = field(repr=False, compare=False)
+    odd_basis: np.ndarray = field(repr=False, compare=False)
 
     @property
     def residual(self) -> float:
@@ -209,13 +219,16 @@ class QuadraticFormReport:
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of the generator, sector by sector; the whole spectrum
-        only while parity_leak is negligible."""
+        only while parity_leak and imaginary_residual are negligible."""
         return np.concatenate([np.linalg.eigvals(self.even), np.linalg.eigvals(self.odd)])
 
 
 def verify_quadratic_form(sup: Superoperator, structure: StructureMatrix) -> QuadraticFormReport:
-    """Compare the generator sup, rotated to the P_alpha basis, with the
-    quadratic form of the structure matrix in the Fock maps, per parity sector."""
+    """Rotate the generator sup to the P_alpha basis and compare it with the
+    quadratic form of the structure matrix in the Fock maps, per parity sector;
+    then rephase it to the Hermitian basis Q_alpha = i^{k(k-1)/2} P_alpha, where
+    a Lindbladian is real (third quantisation: Prosen, NJP 10, 043026 (2008)).
+    The rephasing multiplies by +-1 and +-i, so it is exact."""
     n = sup.n
     T = fock_basis_transform(n)
     S_fock = T.conj().T @ sup.matrix @ T
@@ -234,7 +247,15 @@ def verify_quadratic_form(sup: Superoperator, structure: StructureMatrix) -> Qua
             np.abs(S_fock[np.ix_(odd, even)]).max(initial=0.0),
         )
     )
-    return QuadraticFormReport(res_even, res_odd, leak, S_even, S_odd)
+    phase = hermitian_phases(n)
+    S_herm = S_fock * np.outer(phase.conj(), phase)
+    scale = max(float(np.abs(S_herm).max()), 1.0)
+    imaginary = float(np.abs(S_herm.imag).max()) / scale
+    Q = T * phase
+    return QuadraticFormReport(
+        n, res_even, res_odd, leak, imaginary,
+        S_herm.real[np.ix_(even, even)], S_herm.real[np.ix_(odd, odd)], Q[:, even], Q[:, odd],
+    )
 
 
 @dataclass(frozen=True)
@@ -244,7 +265,8 @@ class OracleNess:
     rho is the unique steady state when kernel_dim == 1, otherwise the one the
     dynamics reaches from the maximally mixed state.  positive_witness_found
     records that its smallest eigenvalue passes -ORACLE_TOL_POS.  covariance
-    is tr(w_j w_k rho).
+    is tr(w_j w_k rho).  kernel_vectors is an orthonormal kernel basis in the
+    vec basis, the even sector's columns first.
     """
 
     kernel_dim: int
@@ -256,31 +278,39 @@ class OracleNess:
     kernel_vectors: np.ndarray
 
 
-def oracle_ness(sup: Superoperator) -> OracleNess:
-    """Kernel basis of the generator sup and its steady state from 1/2^n.
+def oracle_ness(qf: QuadraticFormReport) -> OracleNess:
+    """Kernel basis of the generator and its steady state from 1/2^n.
 
-    The zero eigenvalue of a Lindbladian is semisimple, so with R and L the
-    right and left null vectors of S, P0 = R (L^dag R)^-1 L^dag projects onto
-    ker S along ran S.  P0 is the long-time average of the CPTP maps exp(tS),
-    so rho = P0 vec(1/2^n) is a positive trace-one steady state (Albert and
-    Jiang, PRA 89, 022118 (2014)).
+    qf certifies that the generator is the direct sum of its two real parity
+    blocks, so its kernel is the sum of theirs: one real SVD per sector, each
+    cut against the larger top singular value.  The zero eigenvalue of a
+    Lindbladian is semisimple, so with R and L the right and left null vectors
+    of a block, P0 = R (L^T R)^-1 L^T projects onto its kernel along its range.
+    P0 is the long-time average of the CPTP maps exp(tS), so rho = P0 vec(1/2^n)
+    is a positive trace-one steady state (Albert and Jiang, PRA 89, 022118
+    (2014)); 1/2^n is even, so only the even block's P0 acts on it.
     """
-    dim = 2**sup.n
-    u, s, vh = np.linalg.svd(sup.matrix)
-    null_mask = s <= ORACLE_TOL_KERNEL * max(s[0], 1.0)
-    kernel = vh[null_mask].conj().T
-    left = u[:, null_mask].conj().T  # L^dag
-    kdim = kernel.shape[1]
-    if kdim == 0:
-        raise BuildInvariantViolated("generator has no kernel; impossible for a Lindbladian")
+    n = qf.n
+    dim = 2**n
+    u, s_even, vt_even = np.linalg.svd(qf.even)
+    _, s_odd, vt_odd = np.linalg.svd(qf.odd)
+    cut = ORACLE_TOL_KERNEL * max(s_even[0], s_odd[0], 1.0)
+    right = vt_even[s_even <= cut].T
+    left = u[:, s_even <= cut].T  # L^T
+    if right.shape[1] == 0:
+        raise BuildInvariantViolated("generator has no even kernel; impossible for a Lindbladian")
+    kernel = np.hstack([qf.even_basis @ right, qf.odd_basis @ vt_odd[s_odd <= cut].T])
 
-    mixed = np.eye(dim).reshape(-1) / dim
-    rho = (kernel @ np.linalg.solve(left @ kernel, left @ mixed)).reshape(dim, dim, order="F")
+    # 1/2^n = 2^{-n/2} Q_0, and Q_0 is the first even basis element
+    mixed = np.zeros(len(s_even))
+    mixed[0] = 2 ** (-n / 2)
+    coeff = right @ np.linalg.solve(left @ right, left @ mixed)
+    rho = (qf.even_basis @ coeff).reshape(dim, dim, order="F")
     min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
-    w = majorana_ops(sup.n).w
+    w = majorana_ops(n).w
     C = np.array([[np.trace(wj @ wk @ rho) for wk in w] for wj in w])
     return OracleNess(
-        kdim,
+        kernel.shape[1],
         rho,
         C,
         min_eig >= -ORACLE_TOL_POS,
@@ -291,22 +321,75 @@ def oracle_ness(sup: Superoperator) -> OracleNess:
 
 
 def eigenvalue_multiset_from_enumeration(entries) -> np.ndarray:
-    """Expand (lambda, subspace_dim) pairs to a flat eigenvalue multiset."""
-    out = []
-    for e in entries:
-        out.extend([e.lam] * e.subspace_dim)
-    return np.array(sorted(out, key=lambda z: (z.real, z.imag)))
+    """Expand (lambda, subspace_dim) pairs to a flat eigenvalue multiset, in
+    entry order (sorted by (Re, Im) for the entries of `enumerate_spectrum`)."""
+    pairs = [(e.lam, e.subspace_dim) for e in entries]
+    return np.repeat([lam for lam, _ in pairs], [dim for _, dim in pairs])
 
 
-def match_multisets(a: np.ndarray, b: np.ndarray) -> float:
-    """Max deviation under minimal-weight perfect matching of two multisets."""
+@dataclass(frozen=True)
+class MultisetMatch:
+    """A minimal-weight perfect matching of multisets a and b: matched[i] is the
+    element of b paired with a[i], at distance deviations[i]."""
+
+    matched: np.ndarray
+    deviations: np.ndarray
+
+    @property
+    def deviation(self) -> float:
+        """The largest distance of a matched pair."""
+        return float(self.deviations.max(initial=0.0))
+
+
+def match_multisets(a: np.ndarray, b: np.ndarray) -> MultisetMatch:
+    """Minimal-weight perfect matching of two multisets of complex numbers."""
     from scipy.optimize import linear_sum_assignment
 
     if len(a) != len(b):
         raise ValueError(f"multiset sizes differ: {len(a)} vs {len(b)}")
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    return MultisetMatch(b[cols], cost[rows, cols])
+
+
+@dataclass(frozen=True)
+class SpectrumCheck:
+    """The predicted spectrum against the matched dense eigenvalues, per
+    merged group.
+
+    Groups whose largest Jordan block is 1 are checked eigenvalue by
+    eigenvalue (eigenvalue_deviation).  A Jordan block of size l spreads its
+    group's dense eigenvalues by about (eps ||S||)^(1/l), but their mean, a
+    trace over the invariant subspace, is well conditioned.  So each defective
+    group is checked on its count, the dense eigenvalues nearer to it than to
+    any other group, against its dimension (count_mismatches), and on the mean
+    of its matched dense eigenvalues against merged_lam (group_mean_deviation).
+    """
+
+    eigenvalue_deviation: float
+    group_mean_deviation: float
+    defective_groups: int
+    count_mismatches: int
+
+
+def check_spectrum(spectrum: SpectrumEnumeration, match: MultisetMatch) -> SpectrumCheck:
+    """Judge `match`, of the expanded entries of `spectrum` in entry order
+    against the dense eigenvalues, group by merged group."""
+    groups = len(spectrum.merged_lam)
+    dims = spectrum.merged_dim.astype(np.int64)
+    group = np.repeat(np.repeat(np.arange(groups), spectrum.contributors),
+                      spectrum.subspace_dim.astype(np.int64))
+    defective = spectrum.merged_block > 1
+    nearest = np.abs(match.matched[:, None] - spectrum.merged_lam[None, :]).argmin(axis=1)
+    counts = np.bincount(nearest, minlength=groups)
+    means = (np.bincount(group, match.matched.real, groups)
+             + 1j * np.bincount(group, match.matched.imag, groups)) / dims
+    return SpectrumCheck(
+        float(match.deviations[~defective[group]].max(initial=0.0)),
+        float(np.abs(means - spectrum.merged_lam)[defective].max(initial=0.0)),
+        int(np.count_nonzero(defective)),
+        int(np.count_nonzero((counts != dims)[defective])),
+    )
 
 
 def largest_jordan_block_at(S: np.ndarray, lam: complex, multiplicity: int) -> int:

@@ -96,7 +96,12 @@ def _spectrum_deviation(model):
     return oracle.match_multisets(
         oracle.eigenvalue_multiset_from_enumeration(spec.entries),
         np.linalg.eigvals(sup.matrix),
-    )
+    ).deviation
+
+
+def _oracle_ness(model):
+    sm = build_structure_matrix(model, build_bath_matrices(model))
+    return oracle.oracle_ness(oracle.verify_quadratic_form(oracle.build_superoperator(model), sm))
 
 
 def test_criterion_3_oracle_spectrum_equivalence():
@@ -135,7 +140,7 @@ def test_criterion_5_ness_covariance():
         if not stability_check(jf).all_strictly_stable:
             continue
         ds = solve_lyapunov(X, bath.M_i, jf)
-        on = oracle.oracle_ness(oracle.build_superoperator(model))
+        on = _oracle_ness(model)
         assert on.kernel_dim == 1
         dev = np.abs(on.covariance - ness_covariance(ds.Z)).max()
         worst = max(worst, dev)
@@ -150,14 +155,14 @@ def test_criterion_6_degeneracy_count():
     pair = bundled("ising_pair.json")
     bath, X, jf = stage(pair)
     ness = classify_ness(jf)
-    on = oracle.oracle_ness(oracle.build_superoperator(pair))
+    on = _oracle_ness(pair)
     assert ness.stationary_dim == 2
     assert on.kernel_dim == 2
 
     chain = bundled("ising_chain_3.json")
     bath3, X3, jf3 = stage(chain)
     ness3 = classify_ness(jf3)
-    on3 = oracle.oracle_ness(oracle.build_superoperator(chain))
+    on3 = _oracle_ness(chain)
     assert ness3.stationary_dim > 2
     assert on3.kernel_dim == ness3.stationary_dim
     # the added spin contributes a fresh imaginary pair
@@ -220,14 +225,14 @@ def test_criterion_8_property_suites():
 
         eig_X = np.linalg.eigvals(X)
         expected = np.concatenate([eig_X, -eig_X])
-        dev = oracle.match_multisets(expected, np.linalg.eigvals(sm.A))
+        dev = oracle.match_multisets(expected, np.linalg.eigvals(sm.A)).deviation
         d = 2 * n
         A0drive = sm.A.copy()
         A0drive[:d, :d] = 2 * model.K
         A0drive[d:, d:] = 2 * model.K
         A0drive[:d, d:] = 2j * bath.M_r
         A0drive[d:, :d] = -2j * bath.M_r
-        dev = max(dev, oracle.match_multisets(np.linalg.eigvals(A0drive), expected))
+        dev = max(dev, oracle.match_multisets(np.linalg.eigvals(A0drive), expected).deviation)
         worst["spec"] = max(worst["spec"], dev)
 
     assert worst["vvt"] <= 1e-8

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from importlib.resources import files
 
 import numpy as np
@@ -18,14 +19,28 @@ from liouv.normal_modes import build_V
 from liouv.randmodel import random_axis_model, random_model
 from liouv.rapidity import jordan_decompose
 from liouv.spectra import classify_ness, enumerate_spectrum, ness_covariance
-from liouv.tolerances import ORACLE_TOL_POS
+from liouv.tolerances import (
+    ORACLE_TOL_KERNEL,
+    ORACLE_TOL_POS,
+    VERIFY_QUADRATIC_FORM_MAX,
+    VERIFY_SPECTRUM_MAX,
+)
 
-from conftest import build_fock_maps, dense_quadratic_form, ising_pair_model, single_qubit_model
+from conftest import (
+    build_fock_maps,
+    critical_plus_decoupled,
+    dense_quadratic_form,
+    ising_pair_model,
+    single_qubit_model,
+)
+
+
+def _structure(model):
+    return build_structure_matrix(model, build_bath_matrices(model))
 
 
 def quadratic_form_report(model):
-    sm = build_structure_matrix(model, build_bath_matrices(model))
-    return oracle.verify_quadratic_form(oracle.build_superoperator(model), sm)
+    return oracle.verify_quadratic_form(oracle.build_superoperator(model), _structure(model))
 
 
 def full_stage(model):
@@ -118,6 +133,66 @@ def test_fock_basis_transform_unitary():
     np.testing.assert_allclose(T.conj().T @ T, np.eye(16), atol=1e-14)
 
 
+def _fock_basis_transform_by_products(n):
+    """Columns vec(P_alpha), each monomial a product of the dense Majoranas."""
+    w = oracle.majorana_ops(n).w
+    cols = []
+    for alpha in oracle._alpha_bits(n).T:
+        mat = np.eye(2**n, dtype=complex) * 2 ** (-n / 2)
+        for j, bit in enumerate(alpha):
+            if bit:
+                mat = mat @ w[j]
+        cols.append(mat.reshape(-1, order="F"))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fock_basis_transform_matches_products(n):
+    """Every entry is +-2^{-n/2} or +-i 2^{-n/2}, so the batched build equals
+    the monomial-by-monomial products exactly."""
+    T = oracle.fock_basis_transform(n)
+    np.testing.assert_array_equal(T, _fock_basis_transform_by_products(n))
+    assert set(np.unique(np.abs(T))) == {0.0, 2 ** (-n / 2)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hermitian_basis_is_hermitian_and_orthonormal(n):
+    Q = oracle.fock_basis_transform(n) * oracle.hermitian_phases(n)
+    dim = 2**n
+    for col in Q.T:
+        mat = col.reshape(dim, dim, order="F")
+        np.testing.assert_array_equal(mat, mat.conj().T)
+    np.testing.assert_allclose(Q.conj().T @ Q, np.eye(4**n), atol=1e-14)
+
+
+def _realness_models():
+    for n in (1, 2, 3, 4):
+        yield random_model(n, 60 + n)
+        yield random_axis_model(n, 60 + n, 1 + n % (2 * n - 1))
+    yield critical_plus_decoupled(1, 1, 0.7, 0)
+    yield critical_plus_decoupled(2, 1, 0.7, 1)
+    yield critical_plus_decoupled(2, 0, 0.0, 2)
+
+
+@pytest.mark.parametrize("model", list(_realness_models()))
+def test_hermitian_basis_blocks_are_real(model):
+    """A Lindbladian maps Hermitian operators to Hermitian ones, so it is real
+    in the basis Q_alpha; the two blocks are the generator's sector blocks,
+    rephased."""
+    sup = oracle.build_superoperator(model)
+    rep = oracle.verify_quadratic_form(sup, _structure(model))
+    assert rep.imaginary_residual < 1e-13
+    assert rep.even.dtype == rep.odd.dtype == np.float64
+    even = oracle.fock_parity_even(model.n)
+    Q = oracle.fock_basis_transform(model.n) * oracle.hermitian_phases(model.n)
+    S_herm = Q.conj().T @ sup.matrix @ Q
+    scale = max(np.abs(S_herm).max(), 1.0)
+    np.testing.assert_allclose(rep.even, S_herm[np.ix_(even, even)], rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(rep.odd, S_herm[np.ix_(~even, ~even)], rtol=0, atol=1e-13 * scale)
+    np.testing.assert_array_equal(rep.even_basis, Q[:, even])
+    np.testing.assert_array_equal(rep.odd_basis, Q[:, ~even])
+
+
 def test_zero_model_superoperator():
     m = validate_model(1, np.zeros((2, 2)), [])
     sup = oracle.build_superoperator(m)
@@ -137,7 +212,7 @@ def test_qubit_superoperator_eigenvalues():
     betas = [b.rapidity for b in jf.blocks]
     expected = np.array([0, -2 * betas[0], -2 * betas[1], -2 * (betas[0] + betas[1])])
     actual = np.linalg.eigvals(sup.matrix)
-    assert oracle.match_multisets(expected, actual) < 1e-8
+    assert oracle.match_multisets(expected, actual).deviation < 1e-8
 
 
 def test_ising_pair_kernel_dimension():
@@ -177,7 +252,7 @@ def test_sector_eigenvalues_match_full_eigvals(n):
         rep = oracle.verify_quadratic_form(sup, build_structure_matrix(m, build_bath_matrices(m)))
         assert rep.parity_leak < 1e-12
         full = np.linalg.eigvals(sup.matrix)
-        assert oracle.match_multisets(rep.eigenvalues(), full) < 1e-10
+        assert oracle.match_multisets(rep.eigenvalues(), full).deviation < 1e-10
 
 
 def test_given_superoperator_is_the_one_used():
@@ -187,7 +262,7 @@ def test_given_superoperator_is_the_one_used():
     assert oracle.verify_quadratic_form(sup, sm) == quadratic_form_report(m)
     zero = dataclasses.replace(sup, matrix=np.zeros_like(sup.matrix))
     assert oracle.verify_quadratic_form(zero, sm).residual > 0.1
-    on = oracle.oracle_ness(zero)
+    on = oracle.oracle_ness(oracle.verify_quadratic_form(zero, sm))
     assert on.kernel_dim == 16
     np.testing.assert_allclose(on.rho, np.eye(4) / 4, atol=1e-15)
 
@@ -208,7 +283,7 @@ def test_single_structure_matrix_fails_on_odd_sector():
 def test_oracle_ness_unique_stable():
     m = random_model(2, seed=12)
     bath, X, sm, jf, ds = full_stage(m)
-    on = oracle.oracle_ness(oracle.build_superoperator(m))
+    on = oracle.oracle_ness(quadratic_form_report(m))
     assert on.kernel_dim == 1
     assert on.positive_witness_found
     assert on.hermiticity_residual < 1e-10
@@ -219,7 +294,7 @@ def test_oracle_ness_unique_stable():
 def test_oracle_ness_ising_pair_denegerate():
     m = ising_pair_model()
     bath, X, sm, jf, ds = full_stage(m)
-    on = oracle.oracle_ness(oracle.build_superoperator(m))
+    on = oracle.oracle_ness(quadratic_form_report(m))
     assert on.kernel_dim == 2
     assert on.positive_witness_found
     np.testing.assert_allclose(on.covariance, ness_covariance(ds.Z), atol=1e-8)
@@ -228,7 +303,7 @@ def test_oracle_ness_ising_pair_denegerate():
 def test_oracle_ness_even_correlators_insensitive():
     """Even monomial expectations do not depend on the degeneracy parameter."""
     m = ising_pair_model()
-    on = oracle.oracle_ness(oracle.build_superoperator(m))
+    on = oracle.oracle_ness(quadratic_form_report(m))
     rep = oracle.majorana_ops(2)
     kernel = on.kernel_vectors
     # rebuild the one-parameter family rho(alpha) from the kernel
@@ -278,7 +353,7 @@ def test_oracle_ness_state_is_a_stationary_density_matrix(kernel_dim, build):
     functions are the analysis's wherever `liouv verify` compares them."""
     m = build()
     sup = oracle.build_superoperator(m)
-    on = oracle.oracle_ness(sup)
+    on = oracle.oracle_ness(oracle.verify_quadratic_form(sup, _structure(m)))
     assert on.kernel_dim == kernel_dim
     S = sup.matrix
     rho = on.rho
@@ -293,9 +368,113 @@ def test_oracle_ness_state_is_a_stationary_density_matrix(kernel_dim, build):
         np.testing.assert_allclose(on.covariance, ness.covariance, rtol=0, atol=1e-12)
 
 
+def _dense_reference_ness(sup):
+    """Kernel and steady state from one complex SVD of the whole generator:
+    P0 = R (L^dag R)^-1 L^dag applied to vec(1/2^n)."""
+    dim = 2**sup.n
+    u, s, vh = np.linalg.svd(sup.matrix)
+    null = s <= ORACLE_TOL_KERNEL * max(s[0], 1.0)
+    kernel = vh[null].conj().T
+    left = u[:, null].conj().T
+    mixed = np.eye(dim).reshape(-1) / dim
+    rho = (kernel @ np.linalg.solve(left @ kernel, left @ mixed)).reshape(dim, dim, order="F")
+    return kernel, rho
+
+
+def _generator(model):
+    return oracle.build_superoperator(model), _structure(model)
+
+
+def _zero_generator(n):
+    """The superoperator of random_model(n, 0) with its matrix zeroed."""
+    sup, sm = _generator(random_model(n, 0))
+    return dataclasses.replace(sup, matrix=np.zeros_like(sup.matrix)), sm
+
+
+# (id, kernel dimension, generator and structure matrix)
+SECTOR_KERNEL_CASES = (
+    [(f"random{n}_{seed}", 1, lambda n=n, seed=seed: _generator(random_model(n, seed)))
+     for n in (1, 2, 3, 4) for seed in range(5)]
+    + [(f"axis{n}_{dec}", 2 ** ((dec + 1) // 2),
+        lambda n=n, dec=dec: _generator(random_axis_model(n, 80 + dec, dec)))
+       for n in (2, 3, 4) for dec in range(1, 2 * n, 2)]
+    + [(f"hamiltonian{n}", 2**n, lambda n=n: _generator(random_model(n, n, n_vectors=0)))
+       for n in (1, 2, 3)]
+    + [(f"zero{n}", 4**n, lambda n=n: _generator(_zero(n))) for n in (1, 2)]
+    + [(f"zero_generator{n}", 4**n, lambda n=n: _zero_generator(n)) for n in (2, 3)]
+    + [("single_qubit", 1, lambda: _generator(_bundled("single_qubit"))),
+       ("ising_pair", 2, lambda: _generator(_bundled("ising_pair"))),
+       ("ising_chain_3", 4, lambda: _generator(_bundled("ising_chain_3"))),
+       ("linked", 2, lambda: _generator(critical_plus_decoupled(2, 1, 0.7, 1))),
+       ("linked_zero_modes", 4, lambda: _generator(critical_plus_decoupled(1, 1, 0.0, 3)))]
+)
+
+
+@pytest.mark.parametrize("kernel_dim, build", [case[1:] for case in SECTOR_KERNEL_CASES],
+                         ids=[case[0] for case in SECTOR_KERNEL_CASES])
+def test_sector_kernel_matches_dense_svd(kernel_dim, build):
+    """The per-sector real kernel is the dense complex SVD's: the same
+    dimension, the same steady state and the same span."""
+    sup, sm = build()
+    on = oracle.oracle_ness(oracle.verify_quadratic_form(sup, sm))
+    kernel, rho = _dense_reference_ness(sup)
+    assert on.kernel_dim == kernel.shape[1] == on.kernel_vectors.shape[1] == kernel_dim
+    np.testing.assert_allclose(on.rho, rho, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(on.kernel_vectors.conj().T @ on.kernel_vectors,
+                               np.eye(kernel_dim), atol=1e-12)
+    np.testing.assert_allclose(on.kernel_vectors @ on.kernel_vectors.conj().T,
+                               kernel @ kernel.conj().T, rtol=0, atol=1e-9)
+
+
+def test_verify_fails_on_an_imaginary_hermitian_basis_part(monkeypatch, capsys):
+    """i eps times a Hamiltonian commutator, added to the generator and to the
+    structure matrix alike, leaves the quadratic form, the parity split, the
+    spectrum, the kernel and the covariance within their limits; only the
+    realness residual sees that the generator no longer preserves Hermiticity."""
+    import liouv.cli
+    from liouv.cli import main
+
+    eps = 5e-8
+    n = 2
+    K = np.random.default_rng(7).standard_normal((2 * n, 2 * n))
+    K = (K - K.T) / 2
+    H = oracle.hamiltonian_matrix(validate_model(n, K, []), oracle.majorana_ops(n))
+    eye = np.eye(2**n)
+    commutator = np.kron(eye, H) - np.kron(H.T, eye)  # i * (-i [H, .])
+    real_build, real_analyze = oracle.build_superoperator, liouv.cli.analyze
+
+    def perturbed_superoperator(model):
+        sup = real_build(model)
+        return dataclasses.replace(sup, matrix=sup.matrix + eps * commutator)
+
+    def perturbed_analyze(*args, **kwargs):
+        result = real_analyze(*args, **kwargs)
+        d = 2 * n
+        A = result.structure.A.copy()
+        A[:d, :d] += 1j * eps * 2 * K
+        A[d:, d:] += 1j * eps * 2 * K
+        return dataclasses.replace(result, structure=dataclasses.replace(result.structure, A=A))
+
+    monkeypatch.setattr(oracle, "build_superoperator", perturbed_superoperator)
+    monkeypatch.setattr(liouv.cli, "analyze", perturbed_analyze)
+    assert main(["verify", "--random", "--n", str(n), "--seed", "11"]) == 3
+    out = capsys.readouterr().out
+
+    def number(label):
+        return float(re.search(label + r" (\S+?),?(?: |$)", out, re.M).group(1))
+
+    assert number("imaginary residual:") > VERIFY_QUADRATIC_FORM_MAX
+    for label in ("even", "odd", "parity leak"):
+        assert number(label) < 1e-13
+    assert number("spectrum multiset deviation:") < 1e-7
+    assert number("covariance deviation:") < 1e-7
+    assert "kernel dim 1 vs stationary_dim 1: ok" in out
+    assert out.splitlines()[-1] == "FAIL"
+
+
 def test_oracle_ness_zero_model_full_kernel():
     m = validate_model(1, np.zeros((2, 2)), [])
-    on = oracle.oracle_ness(oracle.build_superoperator(m))
+    on = oracle.oracle_ness(quadratic_form_report(m))
     assert on.kernel_dim == 4
 
 
@@ -307,8 +486,51 @@ def test_spectrum_multiset_fixtures():
         dev = oracle.match_multisets(
             oracle.eigenvalue_multiset_from_enumeration(spec.entries),
             np.linalg.eigvals(sup.matrix),
-        )
+        ).deviation
         assert dev < 1e-7
+
+
+def _spectrum_check(model, dense=None):
+    result = analyze(model)
+    if dense is None:
+        dense = quadratic_form_report(model).eigenvalues()
+    theory = oracle.eigenvalue_multiset_from_enumeration(result.spectrum.entries)
+    match = oracle.match_multisets(theory, np.sort_complex(dense))
+    return result.spectrum, theory, match, oracle.check_spectrum(result.spectrum, match)
+
+
+def test_defective_groups_are_gated_on_their_mean():
+    """Two critical 2-blocks make a many-body 3-block: eigvals spreads its
+    groups far past the spectrum limit, while their means stay exact."""
+    spec, _, match, check = _spectrum_check(critical_plus_decoupled(2, 1, 0.7, 1))
+    assert match.deviation > 100 * VERIFY_SPECTRUM_MAX
+    assert check.eigenvalue_deviation < 1e-12
+    assert check.group_mean_deviation < 1e-12
+    assert check.defective_groups == int(np.count_nonzero(spec.merged_block > 1)) > 0
+    assert check.count_mismatches == 0
+
+
+def test_check_spectrum_catches_a_moved_mean_and_a_wrong_count():
+    model = single_qubit_model()  # one 2-block: groups 0, -2beta (dim 2, block 2), -4beta
+    spec, theory, _, check = _spectrum_check(model)
+    assert check.defective_groups == 1 and check.group_mean_deviation < 1e-12
+    lam = spec.merged_lam[spec.merged_block > 1][0]
+    members = np.flatnonzero(np.isclose(theory, lam))
+    assert len(members) == 2
+
+    spread = theory.copy()
+    spread[members] += [1e-4, -1e-4]  # a Jordan-like spread keeps the mean
+    assert oracle.check_spectrum(spec, oracle.match_multisets(theory, spread)).group_mean_deviation < 1e-12
+
+    shifted = theory.copy()
+    shifted[members] += 1e-6
+    check = oracle.check_spectrum(spec, oracle.match_multisets(theory, shifted))
+    assert abs(check.group_mean_deviation - 1e-6) < 1e-12 and check.count_mismatches == 0
+
+    moved = theory.copy()
+    moved[members[0]] = 1e-3  # one member now lies by the zero eigenvalue
+    check = oracle.check_spectrum(spec, oracle.match_multisets(theory, moved))
+    assert check.count_mismatches == 1
 
 
 def test_defective_superoperator_jordan_block():
@@ -378,7 +600,7 @@ def test_zero_mode_descriptor_realizes_dense_kernel_direction():
     assert np.linalg.norm(dir_true) > 1e-3
     assert np.linalg.norm(S_fock @ dir_true) < 1e-10
 
-    on = oracle.oracle_ness(oracle.build_superoperator(m))
+    on = oracle.oracle_ness(quadratic_form_report(m))
     odd_kernel = (T.conj().T @ on.kernel_vectors)
     odd_kernel[parity > 0, :] = 0
     u, s, _ = np.linalg.svd(odd_kernel, full_matrices=False)
@@ -469,7 +691,7 @@ def test_normal_master_modes_almost_car_and_vacua():
             np.testing.assert_allclose(anti, want * np.eye(dim), atol=1e-9)
 
     # vacua: every annihilation mode kills |NESS>, every creation mode kills <1|
-    on = oracle.oracle_ness(oracle.build_superoperator(m))
+    on = oracle.oracle_ness(quadratic_form_report(m))
     T = oracle.fock_basis_transform(2)
     ness_coeff = T.conj().T @ on.rho.reshape(-1, order="F")
     one_dual = np.zeros(dim)

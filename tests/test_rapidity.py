@@ -481,7 +481,7 @@ def test_analysis_is_scale_covariant(model, s):
 
     ref, got = analyze(model), analyze(_scaled(model, s))
     rapidities = [np.array([b.rapidity for b in r.jordan.blocks]) for r in (ref, got)]
-    assert match_multisets(rapidities[0], rapidities[1] / s) <= 1e-10 * ref.jordan.x_norm
+    assert match_multisets(rapidities[0], rapidities[1] / s).deviation <= 1e-10 * ref.jordan.x_norm
     # the order of axis rapidities follows real parts at rounding level, so
     # the classes are compared as multisets
     classes = [Counter((c.kind, c.block_sizes) for c in r.stability.classes) for r in (ref, got)]
