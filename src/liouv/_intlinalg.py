@@ -23,7 +23,12 @@ def int_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def int_rank(mat: IntMatrix) -> int:
-    """Exact rank via Bareiss fraction-free elimination."""
+    """Exact rank via Bareiss fraction-free elimination.
+
+    Rows at and below the pivot row are zero left of the pivot column, so
+    each eliminated row is computed whole, (p x - f y) / prev entry by entry
+    (exact division); a row with f = 0 is only rescaled by p / prev.
+    """
     if not mat or not mat[0]:
         return 0
     m = [row[:] for row in mat]
@@ -35,11 +40,16 @@ def int_rank(mat: IntMatrix) -> int:
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
+        top = m[r]
+        p = top[c]
         for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
+            row = m[i]
+            f = row[c]
+            if f:
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            elif p != prev:
+                m[i] = [p * x // prev for x in row]
+        prev = p
         r += 1
         if r == rows:
             break

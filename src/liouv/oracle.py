@@ -5,12 +5,16 @@ Explicit Jordan-Wigner Majorana matrices on the 2^n Hilbert space, the dense
 Majorana maps on the operator Fock basis P_alpha as signed permutations, and
 the comparisons that pin the fast path: the quadratic-form identity per parity
 sector, spectrum multisets, and steady-state correlators.  Every check takes
-the generator it checks, built once by `build_superoperator`; the spectrum and
-the kernel come from its two real parity blocks in the Hermitian basis.
+the generator it checks, built once by `build_superoperator`.  In the
+Hermitian basis the generator is real and splits into two parity blocks, whose
+SVDs give the kernel; each block is triangular in the Majorana degree, so the
+spectrum comes from its 2n+1 diagonal degree blocks.  The Majorana matrices
+and the basis transform are built once per n and kept read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -52,8 +56,18 @@ class MajoranaRep:
 
 def majorana_ops(n: int) -> MajoranaRep:
     """Jordan-Wigner Majoranas: w_{2j-1}, w_{2j} act on site j with sigma^3
-    strings on the sites before it."""
+    strings on the sites before it.  Built once per n; the arrays are read-only."""
     check_size(n)
+    return _majorana_ops(n)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@functools.cache
+def _majorana_ops(n: int) -> MajoranaRep:
     ws = []
     for j in range(n):
         string = [_SIGMA3] * j
@@ -62,7 +76,7 @@ def majorana_ops(n: int) -> MajoranaRep:
             mat = factors[0]
             for f in factors[1:]:
                 mat = np.kron(mat, f)
-            ws.append(mat)
+            ws.append(_read_only(mat))
     return MajoranaRep(n, tuple(ws))
 
 
@@ -130,24 +144,36 @@ def fock_basis_transform(n: int) -> np.ndarray:
 
     The monomials with highest Majorana j are those below j times w_j on the
     right, so 2n batched products build all 4^n; each performs the matrix
-    products of the monomial's own chain 2^{-n/2} w_1^a1 ... w_2n^a2n.
+    products of the monomial's own chain 2^{-n/2} w_1^a1 ... w_2n^a2n.  Built
+    once per n; the array is read-only.
     """
+    check_size(n)
+    return _fock_basis_transform(n)
+
+
+@functools.cache
+def _fock_basis_transform(n: int) -> np.ndarray:
     mats = np.eye(2**n, dtype=complex)[None] * 2 ** (-n / 2)
-    for wj in majorana_ops(n).w:
+    for wj in _majorana_ops(n).w:
         mats = np.concatenate([mats, mats @ wj])
-    return mats.transpose(0, 2, 1).reshape(4**n, -1).T
+    return _read_only(mats.transpose(0, 2, 1).reshape(4**n, -1).T)
+
+
+def fock_degree(n: int) -> np.ndarray:
+    """Majorana degree k = |alpha| of every P_alpha."""
+    return _alpha_bits(n).sum(axis=0)
 
 
 def hermitian_phases(n: int) -> np.ndarray:
     """i^{k(k-1)/2}, k = |alpha|: Q_alpha = i^{k(k-1)/2} P_alpha is Hermitian,
     since reversing the k Majoranas of P_alpha gives the sign (-1)^{k(k-1)/2}."""
-    k = _alpha_bits(n).sum(axis=0)
+    k = fock_degree(n)
     return np.array([1, 1j, -1, -1j])[(k * (k - 1) // 2) % 4]
 
 
 def fock_parity_even(n: int) -> np.ndarray:
     """Mask of the even-parity P_alpha, (-1)^{|alpha|} = 1."""
-    return _alpha_bits(n).sum(axis=0) % 2 == 0
+    return fock_degree(n) % 2 == 0
 
 
 def fock_majoranas(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -191,16 +217,19 @@ def quadratic_form_matrix(sm_A: np.ndarray, A0: float, n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class QuadraticFormReport:
     """The dense generator in the Hermitian basis, and the certificates that
-    make its two real parity blocks the whole generator.
+    make the diagonal degree blocks of its two real parity blocks its spectrum.
 
     The quadratic-form identity holds on the even-parity sector with the
     structure matrix A, and on the odd sector with the driving-flipped matrix;
     `residual` is the max of the two.  parity_leak measures how well the dense
     generator preserves parity, imaginary_residual how well it maps Hermitian
     operators to Hermitian ones: max|Im Q^dag S Q| over max(max|Q^dag S Q|, 1),
-    both machine precision.  even and odd are the real parts of the generator's
-    blocks on the two sectors in the Hermitian basis Q_alpha; even_basis and
-    odd_basis hold the vec(Q_alpha) of each sector as columns.
+    both machine precision.  degree_leak is the largest coupling, on the same
+    scale, that the grading forbids: the even block keeps the Majorana degree
+    or raises it by 2 (the driving), the odd block keeps it or lowers it by 2.
+    even and odd are the real parts of the generator's blocks on the two
+    sectors in the Hermitian basis Q_alpha; even_basis and odd_basis hold the
+    vec(Q_alpha) of each sector as columns.
     """
 
     n: int
@@ -208,6 +237,7 @@ class QuadraticFormReport:
     residual_odd: float
     parity_leak: float
     imaginary_residual: float
+    degree_leak: float
     even: np.ndarray = field(repr=False, compare=False)
     odd: np.ndarray = field(repr=False, compare=False)
     even_basis: np.ndarray = field(repr=False, compare=False)
@@ -217,17 +247,38 @@ class QuadraticFormReport:
     def residual(self) -> float:
         return max(self.residual_even, self.residual_odd)
 
+    def degree_blocks(self) -> list[np.ndarray]:
+        """The 2n+1 diagonal blocks of degree k = 0..2n, of size C(2n, k):
+        from the even block for even k, from the odd block for odd k."""
+        degree = fock_degree(self.n)
+        sectors = (self.even, degree[degree % 2 == 0]), (self.odd, degree[degree % 2 == 1])
+        blocks = []
+        for k in range(2 * self.n + 1):
+            sector, sector_degree = sectors[k % 2]
+            idx = np.flatnonzero(sector_degree == k)
+            blocks.append(sector[np.ix_(idx, idx)])
+        return blocks
+
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of the generator, sector by sector; the whole spectrum
-        only while parity_leak and imaginary_residual are negligible."""
-        return np.concatenate([np.linalg.eigvals(self.even), np.linalg.eigvals(self.odd)])
+        """Eigenvalues of the generator, degree block by degree block in
+        order of k; the whole spectrum only while parity_leak,
+        imaginary_residual and degree_leak are negligible."""
+        return np.concatenate([np.linalg.eigvals(b) for b in self.degree_blocks()])
+
+
+def _forbidden_couplings(degree: np.ndarray, step: int) -> np.ndarray:
+    """Mask of the couplings from column degree to row degree other than
+    keeping it or changing it by `step`."""
+    diff = degree[:, None] - degree[None, :]
+    return (diff != 0) & (diff != step)
 
 
 def verify_quadratic_form(sup: Superoperator, structure: StructureMatrix) -> QuadraticFormReport:
     """Rotate the generator sup to the P_alpha basis and compare it with the
     quadratic form of the structure matrix in the Fock maps, per parity sector;
     then rephase it to the Hermitian basis Q_alpha = i^{k(k-1)/2} P_alpha, where
-    a Lindbladian is real (third quantisation: Prosen, NJP 10, 043026 (2008)).
+    a Lindbladian is real (third quantisation: Prosen, NJP 10, 043026 (2008)),
+    and measure how far its real sector blocks are from degree-triangular.
     The rephasing multiplies by +-1 and +-i, so it is exact."""
     n = sup.n
     T = fock_basis_transform(n)
@@ -251,10 +302,17 @@ def verify_quadratic_form(sup: Superoperator, structure: StructureMatrix) -> Qua
     S_herm = S_fock * np.outer(phase.conj(), phase)
     scale = max(float(np.abs(S_herm).max()), 1.0)
     imaginary = float(np.abs(S_herm.imag).max()) / scale
+    real_even = S_herm.real[np.ix_(even, even)]
+    real_odd = S_herm.real[np.ix_(odd, odd)]
+    degree = fock_degree(n)
+    degree_leak = max(
+        np.abs(real_even[_forbidden_couplings(degree[even], 2)]).max(initial=0.0),
+        np.abs(real_odd[_forbidden_couplings(degree[odd], -2)]).max(initial=0.0),
+    ) / scale
     Q = T * phase
     return QuadraticFormReport(
-        n, res_even, res_odd, leak, imaginary,
-        S_herm.real[np.ix_(even, even)], S_herm.real[np.ix_(odd, odd)], Q[:, even], Q[:, odd],
+        n, res_even, res_odd, leak, imaginary, float(degree_leak),
+        real_even, real_odd, Q[:, even], Q[:, odd],
     )
 
 
@@ -350,6 +408,29 @@ def match_multisets(a: np.ndarray, b: np.ndarray) -> MultisetMatch:
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
     return MultisetMatch(b[cols], cost[rows, cols])
+
+
+def match_spectrum(spectrum: SpectrumEnumeration, qf: QuadraticFormReport) -> MultisetMatch:
+    """Match the expanded entries of `spectrum`, in entry order, against the
+    eigenvalues of qf's degree blocks, each block against its own entries.
+
+    The even block of degree k holds the entries of occupation number
+    sum m_jk = k; the odd block of degree k those of occupation number 2n - k,
+    since the odd sector's vacuum is the top monomial (its structure matrix
+    has the driving flipped).
+    """
+    n = qf.n
+    dims = spectrum.subspace_dim.astype(np.int64)
+    theory = np.repeat(spectrum.lam, dims)
+    occupation = np.repeat(spectrum.occupations().sum(axis=1), dims)
+    matched = np.empty_like(theory)
+    deviations = np.empty(len(theory))
+    for k, block in enumerate(qf.degree_blocks()):
+        members = np.flatnonzero(occupation == (k if k % 2 == 0 else 2 * n - k))
+        match = match_multisets(theory[members], np.sort_complex(np.linalg.eigvals(block)))
+        matched[members] = match.matched
+        deviations[members] = match.deviations
+    return MultisetMatch(matched, deviations)
 
 
 @dataclass(frozen=True)

@@ -238,6 +238,59 @@ def test_verify_fails_on_parity_leak(monkeypatch, capsys):
     assert out.splitlines()[-1] == "FAIL"
 
 
+def test_verify_fails_on_degree_leak(monkeypatch, capsys):
+    """A report whose only bad certificate is the Majorana-degree leak fails
+    verify: the degree-block spectrum is only the spectrum without it."""
+    real_verify = liouv.oracle.verify_quadratic_form
+
+    def leaky_report(sup, structure):
+        return dataclasses.replace(real_verify(sup, structure), degree_leak=1e-8)
+
+    monkeypatch.setattr(liouv.oracle, "verify_quadratic_form", leaky_report)
+    assert main(["verify", "--random", "--n", "2", "--seed", "11"]) == 3
+    out = capsys.readouterr().out
+    assert float(re.search(r"Majorana-degree leak: (\S+)", out).group(1)) == 1e-8
+    assert float(re.search(r"parity leak (\S+)", out).group(1)) < 1e-13
+    assert float(re.search(r"imaginary residual: (\S+)", out).group(1)) < 1e-13
+    assert "kernel dim 1 vs stationary_dim 1: ok" in out
+    assert float(re.search(r"covariance deviation: (\S+)", out).group(1)) < 1e-7
+    assert float(re.search(r"spectrum multiset deviation: (\S+)", out).group(1)) < 1e-7
+    assert out.splitlines()[-1] == "FAIL"
+
+
+def test_verify_size_limit_with_warm_oracle_cache(monkeypatch, capsys):
+    monkeypatch.delenv("LIOUV_NMAX", raising=False)
+    assert main(["verify", model_path("ising_pair.json")]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("LIOUV_NMAX", "1")
+    assert main(["verify", model_path("ising_pair.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_parser_is_built_once_and_calls_stay_independent(capsys):
+    """The parser is shared by every main call; no flag of one call carries
+    over to the next."""
+    assert liouv.cli.build_parser() is liouv.cli.build_parser()
+    path = model_path("single_qubit.json")
+    model, tolerances = load_model(path)
+    result = analyze(model, tolerances)
+    expected = {full: json.loads(dumps_report(build_report(result, full_spectrum=full)))
+                for full in (False, True)}
+    assert expected[True] != expected[False]
+    for flags, full in ((["--full-spectrum"], True), ([], False),
+                        (["--limit", "1"], None), ([], False), (["--full-spectrum"], True)):
+        assert main(["analyze", path, "--format", "json", *flags]) == 0
+        report = json.loads(capsys.readouterr().out)
+        if full is None:
+            assert report != expected[False]
+        else:
+            assert report == expected[full]
+    assert main(["comb", "restricted-binomial", "4", "2"]) == 0
+    assert capsys.readouterr().out == "1 1 2 1 1\n"
+
+
 def test_verify_builds_one_superoperator(monkeypatch, capsys):
     real_build = liouv.oracle.build_superoperator
     built = []
@@ -430,6 +483,7 @@ def test_verify_chain_fixture(capsys):
     assert main(["verify", model_path("ising_chain_3.json")]) == 0
     out = capsys.readouterr().out
     assert "kernel dim 4 vs stationary_dim 4" in out
+    assert float(re.search(r"^  Majorana-degree leak: (\S+)$", out, re.M).group(1)) < 1e-15
 
 
 def test_verify_linked_model_with_a_many_body_3_block(tmp_path, capsys):

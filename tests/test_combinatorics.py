@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liouv._intlinalg import int_matmul, int_rank, jordan_profile, nilpotent_staircase
 from liouv.combinatorics import (
@@ -313,3 +314,72 @@ def test_size_limit_raises():
         nilpotent_blocks(30, 15, limit=1000)
     with pytest.raises(TooLarge):
         verify_conjecture(30, limit=1000)
+
+
+def _int_rank_reference(mat):
+    """Bareiss rank with the entry-by-entry elimination loop that int_rank
+    replaced by whole-row updates; kept verbatim as the reference."""
+    if not mat or not mat[0]:
+        return 0
+    m = [row[:] for row in mat]
+    rows, cols = len(m), len(m[0])
+    prev = 1
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
+                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
+            m[i][c] = 0
+        prev = m[r][c]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+_ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-10**40, 10**40))
+
+
+@st.composite
+def _int_matrices(draw):
+    """Dense or rank-deficient (a product through k <= min(rows, cols))
+    integer matrices, some columns zeroed."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        mat = [[draw(_ENTRIES) for _ in range(cols)] for _ in range(rows)]
+    else:
+        k = draw(st.integers(0, min(rows, cols)))
+        a = [[draw(_ENTRIES) for _ in range(k)] for _ in range(rows)]
+        b = [[draw(_ENTRIES) for _ in range(cols)] for _ in range(k)]
+        mat = int_matmul(a, b) if k else [[0] * cols for _ in range(rows)]
+    for c in draw(st.sets(st.integers(0, cols - 1), max_size=cols)):
+        for row in mat:
+            row[c] = 0
+    return mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_matrices())
+def test_int_rank_matches_entrywise_bareiss(mat):
+    before = [row[:] for row in mat]
+    assert int_rank(mat) == _int_rank_reference(mat)
+    assert mat == before
+
+
+@pytest.mark.parametrize("l", range(10))
+def test_int_rank_matches_entrywise_bareiss_on_level_maps(l):
+    """Every level map B_r and every central chain B_{w-r-1} ... B_r."""
+    for m in range(l + 1):
+        dims, blocks = _level_matrices(l, m)
+        w = m * (l - m)
+        for b in blocks:
+            assert int_rank(b) == _int_rank_reference(b)
+        for r in range((w + 1) // 2):
+            chain = [[int(i == j) for j in range(dims[r])] for i in range(dims[r])]
+            for s in range(r, w - r):
+                chain = int_matmul(blocks[s], chain)
+            assert int_rank(chain) == _int_rank_reference(chain) == dims[r], (l, m, r)

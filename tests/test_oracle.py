@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 from importlib.resources import files
 
@@ -172,6 +173,7 @@ def _realness_models():
     yield critical_plus_decoupled(1, 1, 0.7, 0)
     yield critical_plus_decoupled(2, 1, 0.7, 1)
     yield critical_plus_decoupled(2, 0, 0.0, 2)
+    yield critical_plus_decoupled(3, 0, 0.7, 2)
 
 
 @pytest.mark.parametrize("model", list(_realness_models()))
@@ -253,6 +255,105 @@ def test_sector_eigenvalues_match_full_eigvals(n):
         assert rep.parity_leak < 1e-12
         full = np.linalg.eigvals(sup.matrix)
         assert oracle.match_multisets(rep.eigenvalues(), full).deviation < 1e-10
+
+
+@pytest.mark.parametrize("model", list(_realness_models()))
+def test_degree_blocks_hold_the_parity_block_spectrum(model):
+    """The parity blocks are triangular in the Majorana degree, so their
+    eigenvalues are those of the 2n+1 diagonal blocks of size C(2n, k).  A
+    many-body Jordan block of size l spreads both sides' eigenvalues by about
+    (eps ||S||)^(1/l), so a defective model is compared to that spread."""
+    rep = quadratic_form_report(model)
+    n = model.n
+    assert rep.degree_leak < 1e-15
+    blocks = rep.degree_blocks()
+    assert [b.shape for b in blocks] == [(math.comb(2 * n, k),) * 2 for k in range(2 * n + 1)]
+    assert all(b.dtype == np.float64 for b in blocks)
+    sector = np.concatenate([np.linalg.eigvals(rep.even), np.linalg.eigvals(rep.odd)])
+    largest = int(analyze(model).spectrum.merged_block.max())
+    limit = 1e-10 if largest == 1 else 1e-3
+    assert oracle.match_multisets(rep.eigenvalues(), sector).deviation < limit
+
+
+def _occupation_models():
+    """Random n = 1-4, axis n = 2-4, and two linked models whose many-body
+    Jordan blocks have sizes 3 and 4."""
+    for n in (1, 2, 3, 4):
+        for seed in range(4):
+            yield f"random{n}_{seed}", random_model(n, seed)
+    for n in (2, 3, 4):
+        for dec in range(1, min(2 * n, 6), 2):
+            yield f"axis{n}_{dec}", random_axis_model(n, 80 + dec, dec)
+    yield "linked_3_block", critical_plus_decoupled(2, 1, 0.7, 1)
+    yield "linked_4_block", critical_plus_decoupled(3, 0, 0.7, 2)
+
+
+OCCUPATION_MODELS = list(_occupation_models())
+
+
+def _occupation_numbers(spectrum):
+    """Occupation number sum m_jk of each expanded entry, in entry order."""
+    return np.repeat(spectrum.occupations().sum(axis=1), spectrum.subspace_dim.astype(np.int64))
+
+
+@pytest.mark.parametrize("model", [m for _, m in OCCUPATION_MODELS],
+                         ids=[name for name, _ in OCCUPATION_MODELS])
+def test_degree_blocks_match_their_occupation_numbers(model):
+    """The even block of degree k holds the entries of occupation number k,
+    the odd block of degree k those of 2n - k; matched block by block, every
+    gate of check_spectrum passes."""
+    result = analyze(model)
+    rep = oracle.verify_quadratic_form(oracle.build_superoperator(model), result.structure)
+    occupation = _occupation_numbers(result.spectrum)
+    n = model.n
+    for k, block in enumerate(rep.degree_blocks()):
+        assert np.count_nonzero(occupation == (k if k % 2 == 0 else 2 * n - k)) == len(block)
+    match = oracle.match_spectrum(result.spectrum, rep)
+    # every dense eigenvalue is matched once
+    np.testing.assert_array_equal(np.sort_complex(match.matched),
+                                  np.sort_complex(rep.eigenvalues()))
+    check = oracle.check_spectrum(result.spectrum, match)
+    assert check.eigenvalue_deviation < VERIFY_SPECTRUM_MAX
+    assert check.group_mean_deviation < VERIFY_SPECTRUM_MAX
+    assert check.count_mismatches == 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_odd_degree_block_is_not_its_own_occupation_number(n):
+    """The odd sector's vacuum is the top monomial: its degree-k block does not
+    hold the entries of occupation number k when k != n."""
+    model = random_model(n, 70 + n)
+    result = analyze(model)
+    rep = oracle.verify_quadratic_form(oracle.build_superoperator(model), result.structure)
+    theory = oracle.eigenvalue_multiset_from_enumeration(result.spectrum.entries)
+    occupation = _occupation_numbers(result.spectrum)
+    block = rep.degree_blocks()[1]
+    dense = np.linalg.eigvals(block)
+    assert oracle.match_multisets(theory[occupation == 2 * n - 1], dense).deviation < 1e-10
+    assert oracle.match_multisets(theory[occupation == 1], dense).deviation > 1e-3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_degree_leak_sees_a_degree_lowering_term(n):
+    """eps {i w_1 w_2, .} keeps parity and Hermiticity; on a monomial holding
+    w_1 and w_2 it lowers the degree by 2 with weight 2 eps, forbidden in the
+    even sector (and its raising part is forbidden in the odd one)."""
+    eps = 1e-6
+    model = random_model(n, 5)
+    sup = oracle.build_superoperator(model)
+    w = oracle.majorana_ops(n).w
+    X = 1j * w[0] @ w[1]
+    eye = np.eye(2**n)
+    anticommutator = np.kron(eye, X) + np.kron(X.T, eye)
+    perturbed = dataclasses.replace(sup, matrix=sup.matrix + eps * anticommutator)
+    rep = oracle.verify_quadratic_form(perturbed, _structure(model))
+    Q = oracle.fock_basis_transform(n) * oracle.hermitian_phases(n)
+    scale = max(np.abs(Q.conj().T @ perturbed.matrix @ Q).max(), 1.0)
+    assert rep.parity_leak == 0.0
+    assert rep.imaginary_residual < 1e-13
+    assert rep.degree_leak == pytest.approx(2 * eps / scale, rel=1e-6)
+    assert rep.degree_leak > VERIFY_QUADRATIC_FORM_MAX
+    assert quadratic_form_report(model).degree_leak < 1e-15
 
 
 def test_given_superoperator_is_the_one_used():
@@ -730,3 +831,25 @@ def test_nmax_env_override(monkeypatch):
         oracle.majorana_ops(2)
     monkeypatch.delenv("LIOUV_NMAX")
     oracle.majorana_ops(2)
+
+
+def test_cached_bases_still_check_the_size_limit(monkeypatch):
+    """The bases are built once per n, but every call checks LIOUV_NMAX."""
+    monkeypatch.delenv("LIOUV_NMAX", raising=False)
+    assert oracle.majorana_ops(2) is oracle.majorana_ops(2)
+    assert oracle.fock_basis_transform(2) is oracle.fock_basis_transform(2)
+    monkeypatch.setenv("LIOUV_NMAX", "1")
+    with pytest.raises(TooLarge):
+        oracle.majorana_ops(2)
+    with pytest.raises(TooLarge):
+        oracle.fock_basis_transform(2)
+
+
+def test_cached_bases_are_read_only():
+    T = oracle.fock_basis_transform(2)
+    with pytest.raises(ValueError):
+        T[0, 0] = 0
+    for w in oracle.majorana_ops(2).w:
+        with pytest.raises(ValueError):
+            w[0, 0] = 0
+    np.testing.assert_allclose(T.conj().T @ T, np.eye(16), atol=1e-14)
