@@ -83,10 +83,10 @@ def analyze(
     structure = build_structure_matrix(model, bath, t.tol_build)
     jf = jordan_decompose(X, t.tol_cluster, t.tol_rank)
     stability = stability_check(jf, t.tol_stability)
-    driving = solve_lyapunov(X, bath.M_i, jf, t.tol_lyap, t.tol_omega)
+    driving = solve_lyapunov(X, bath.M_i, jf, stability, t.tol_omega)
     nmb = build_V(jf, driving.Z, t.tol_normal)
     nform = normal_form_coefficients(jf)
-    ness = classify_ness(jf, t.tol_stability, stability)
+    ness = classify_ness(jf, stability)
     ness = attach_covariance(ness, driving.Z, driving.unique)
 
     warnings = []

@@ -31,10 +31,6 @@ class JordanBlockMultiset:
     blocks: tuple[tuple[int, int], ...]
 
     @property
-    def total_dimension(self) -> int:
-        return sum(size * count for size, count in self.blocks)
-
-    @property
     def block_count(self) -> int:
         return sum(count for _, count in self.blocks)
 
@@ -92,11 +88,6 @@ def tensor_sum_blocks(k: int, l: int) -> JordanBlockMultiset:
     return JordanBlockMultiset(tuple((s, 1) for s in sizes))
 
 
-def delta_matrix(size: int) -> IntMatrix:
-    """Nilpotent upper-shift Jordan block of the given size, exact integers."""
-    return [[1 if j == i + 1 else 0 for j in range(size)] for i in range(size)]
-
-
 def tensor_sum_matrix(k: int, l: int) -> IntMatrix:
     """Delta_k (x) 1_l + 1_k (x) Delta_l as an exact kl x kl integer matrix."""
     dim = k * l
@@ -139,17 +130,6 @@ def seed_coefficients(k: int, l: int, r: int) -> list[int]:
     ):
         raise IdentityViolated(f"chain-length identity failed for (k,l,r)=({k},{l},{r})")
     return c
-
-
-def seed_vector(k: int, l: int, r: int) -> list[int]:
-    """The r-th chain seed as an exact vector on the |i,j> basis (i*l+j indexing)."""
-    c = seed_coefficients(k, l, r)
-    vec = [0] * (k * l)
-    for q in range(1, r + 1):
-        # basis vector |k-q+1, l-r+q> with 1-based labels
-        i, j = k - q, l - r + q - 1
-        vec[i * l + j] = c[q - 1]
-    return vec
 
 
 def _subset_states(l: int, m: int) -> list[tuple[int, ...]]:

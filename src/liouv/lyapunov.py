@@ -1,18 +1,18 @@
 """Continuous Lyapunov equation X^T Z + Z X = M_i for antisymmetric real Z.
 
-The regular path ("dense") reads Z off the matrix sign function of the block
-matrix H = [[X, 0], [M_i, -X^T]], sign(H) = [[1, 0], [2Z, -1]], computed by the
+The stability check decides the path.  When every rapidity is strictly
+stable, Z is read off the matrix sign function of the block matrix
+H = [[X, 0], [M_i, -X^T]], sign(H) = [[1, 0], [2Z, -1]], computed by the
 scaled Newton iteration (Roberts, Int. J. Control 32 (1980) 677; Byers, Linear
-Algebra Appl. 85 (1987) 267).  It costs O(d^3) time and O(d^2) memory and
-requires Re beta > 0 for every rapidity, so that sign(X) = 1.  When rapidity
-pairs sum to (numerically) zero the system is singular and the solve switches
-to the Jordan basis, where the operator Delta^T (x) 1 + 1 (x) Delta^T is lower
-triangular.  Position (i, j) there depends only on positions one level lower,
-the level being the sum of the two offsets within their chains, so the
-substitution is one whole-matrix sweep per level.  Each vanishing diagonal
-entry is checked against the vanishing of its right-hand side (the omega
-coefficients, which are analytically zero for a genuine PSD bath) and the
-corresponding free coefficient is fixed to zero.
+Algebra Appl. 85 (1987) 267), in O(d^3) time and O(d^2) memory.  Rapidities on
+the imaginary axis make the pairs beta_i + beta_j = 0 among them singular, and
+the solve runs in the Jordan basis, where the operator
+Delta^T (x) 1 + 1 (x) Delta^T is lower triangular.  Position (i, j) there
+depends only on positions one level lower, the level being the sum of the two
+offsets within their chains, so the substitution is one whole-matrix sweep per
+level.  Each vanishing diagonal entry is checked against the vanishing of its
+right-hand side (the omega coefficients, which are analytically zero for a
+genuine PSD bath) and the corresponding free coefficient is fixed to zero.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ import numpy as np
 
 from .errors import (
     InconsistentSingularSystem,
+    InternalInvariantViolated,
     NontrivialImaginaryBlock,
 )
-from .rapidity import JordanForm, complex_abs
+from .rapidity import JordanForm, StabilityReport, complex_abs
 from .tolerances import DEFAULTS
 
 # sign iteration: step cap, and the relative change of A below which the
@@ -83,14 +84,18 @@ def _sign_iteration(X: np.ndarray, M_i: np.ndarray) -> np.ndarray:
     and Q <- (cQ + A^-T Q A^-1/c)/2, with the determinant scaling
     c = |det A|^(-1/d) (through slogdet: det(X) is ~1e98 at n = 32 and
     overflows near n = 100) until A is close to its limit 1.  Then Z = Q/2.
-    Raises LinAlgError when the step cap is reached first.
+    Raises InternalInvariantViolated when an iterate is singular or the step
+    cap is reached first: sign(X) = 1 needs every Re beta > 0.
     """
     d = X.shape[0]
     tol = 10 * d * np.finfo(float).eps
     A, Q = X, M_i
     change = np.inf
     for _ in range(SIGN_MAX_STEPS):
-        A_inv = np.linalg.inv(A)
+        try:
+            A_inv = np.linalg.inv(A)
+        except np.linalg.LinAlgError as exc:
+            raise InternalInvariantViolated(f"sign iteration met a singular iterate ({exc})") from exc
         c = np.exp(-np.linalg.slogdet(A)[1] / d) if change > SIGN_UNSCALED_BELOW else 1.0
         A_next = (c * A + A_inv / c) / 2
         Q = (c * Q + A_inv.T @ Q @ A_inv / c) / 2
@@ -98,14 +103,15 @@ def _sign_iteration(X: np.ndarray, M_i: np.ndarray) -> np.ndarray:
         A = A_next
         if change <= tol:
             return Q / 2
-    raise np.linalg.LinAlgError(
+    raise InternalInvariantViolated(
         f"sign iteration did not converge in {SIGN_MAX_STEPS} steps "
         f"(last relative change {change:.3e})"
     )
 
 
-def _pair_diagnostics(X, M_i, jf, tol, scale):
-    """K and Q matrices certifying solvability at the singular rapidities.
+def _pair_diagnostics(X, M_i, jf, stability):
+    """K and Q matrices certifying solvability at the zero and imaginary
+    rapidities of the stability classes.
 
     K collects the driving matrix elements between null-space eigenvectors
     and must vanish whenever the bath matrix is PSD; Q is the bath quadratic
@@ -115,14 +121,14 @@ def _pair_diagnostics(X, M_i, jf, tol, scale):
     partner = dict(jf.conjugate_pairing)
     zero_diag = None
     imag_diag = []
-    for j, beta, idxs in jf.rapidities():
-        if abs(beta) <= tol * scale:
+    for cls, (_, beta, idxs) in zip(stability.classes, jf.rapidities()):
+        if cls.kind == "zero":
             pos = tuple(jf.blocks[i].chain_start for i in idxs)
             U = jf.P[:, list(pos)].real
             K = U.T @ M_i @ U
             Q = U.T @ (Mr + 1j * M_i) @ U
             zero_diag = ZeroModeDiagnostics(pos, K, Q)
-        elif abs(beta.real) <= tol * scale and beta.imag > 0:
+        elif cls.kind == "imaginary" and beta.imag > 0:
             pos_p = tuple(jf.blocks[i].chain_start for i in idxs)
             pos_m = tuple(jf.blocks[partner[i]].chain_start for i in idxs)
             Up = jf.P[:, list(pos_p)]
@@ -140,25 +146,52 @@ def solve_lyapunov(
     X: np.ndarray,
     M_i: np.ndarray,
     jf: JordanForm,
-    tol: float = DEFAULTS.tol_lyap,
+    stability: StabilityReport,
     tol_omega: float = DEFAULTS.tol_omega,
-    method: str = "auto",
 ) -> DrivingSolution:
     """Solve X^T Z + Z X = M_i for real antisymmetric Z.
 
-    method: "auto" picks the dense sign-iteration solve (O(d^3) time, O(d^2)
-    memory) unless some pair of rapidities sums to ~0 (relative
-    tol * ||X||_2), in which case the Jordan-basis substitution (level
-    sweeps) is used; "dense"/"jordan" force a path.  The dense path needs
-    Re beta > 0 for every rapidity (guaranteed in the pipeline once the
-    stability check has passed and the singular pairs have been routed to the
-    Jordan path); it raises LinAlgError when that fails or the iteration does
-    not converge.
-    The Jordan path zeroes every free coefficient, counts the independent ones
-    (unordered off-diagonal pairs), and verifies the omega conditions.
+    The stability report of jf decides the path: the sign iteration (O(d^3)
+    time, O(d^2) memory) when every rapidity is strictly stable, else the
+    Jordan-basis substitution.  The Jordan path zeroes every free coefficient,
+    counts the independent ones (unordered off-diagonal pairs), and verifies
+    the omega conditions.
     """
     X = np.asarray(X, dtype=float)
     M_i = np.asarray(M_i, dtype=float)
+    if stability.all_strictly_stable:
+        return _dense_solution(X, M_i)
+    return _jordan_solution(X, M_i, jf, stability, tol_omega)
+
+
+def _dense_solution(X: np.ndarray, M_i: np.ndarray) -> DrivingSolution:
+    Z_raw = _sign_iteration(X, M_i)
+    asym = float(np.abs(Z_raw + Z_raw.T).max())
+    Z = (Z_raw - Z_raw.T) / 2
+    Z.setflags(write=False)
+    return DrivingSolution(
+        Z=Z,
+        unique=True,
+        free_parameter_count=0,
+        residual=lyapunov_residual(X, Z, M_i),
+        omega_checks=(),
+        method="dense",
+        asymmetry_preprojection=asym,
+        imag_residue=0.0,
+    )
+
+
+def _jordan_solution(
+    X: np.ndarray,
+    M_i: np.ndarray,
+    jf: JordanForm,
+    stability: StabilityReport,
+    tol_omega: float,
+) -> DrivingSolution:
+    """Level-sweep substitution in the Jordan basis.  Position (i, j) is
+    singular when both of its blocks are classed zero or imaginary and
+    |beta_i + beta_j| <= stability.tol * ||X||_2, the test classify_ness
+    applies to its subset sums."""
     d = X.shape[0]
     scale = max(jf.x_norm, np.finfo(float).tiny)
     # rapidity at each position of Delta's diagonal; link[i] when Delta[i-1, i] = 1
@@ -166,37 +199,10 @@ def solve_lyapunov(
     beta = np.diagonal(delta)
     link = np.concatenate(([False], np.diagonal(delta, 1) != 0))
     denoms = beta[:, None] + beta[None, :]
-    regular = complex_abs(denoms) > tol * scale
-    has_singular_pair = not regular.all()
+    axis_j = {c.j for c in stability.classes if c.kind != "stable"}
+    on_axis = np.repeat([b.j in axis_j for b in jf.blocks], [b.size for b in jf.blocks])
+    singular = np.outer(on_axis, on_axis) & (complex_abs(denoms) <= stability.tol * scale)
 
-    if method == "auto":
-        method = "jordan" if has_singular_pair else "dense"
-    if method == "dense" and has_singular_pair:
-        raise np.linalg.LinAlgError(
-            "dense path requested but the Lyapunov operator is singular"
-        )
-
-    if method == "dense":
-        if (beta.real <= 0).any():
-            raise np.linalg.LinAlgError(
-                "dense path requested but a rapidity has Re beta <= 0"
-            )
-        Z_raw = _sign_iteration(X, M_i)
-        asym = float(np.abs(Z_raw + Z_raw.T).max())
-        Z = (Z_raw - Z_raw.T) / 2
-        Z.setflags(write=False)
-        return DrivingSolution(
-            Z=Z,
-            unique=True,
-            free_parameter_count=0,
-            residual=lyapunov_residual(X, Z, M_i),
-            omega_checks=(),
-            method="dense",
-            asymmetry_preprojection=asym,
-            imag_residue=0.0,
-        )
-
-    # Jordan-basis path
     F = jf.P.T @ M_i @ jf.P
     f_scale = max(np.abs(F).max(), np.finfo(float).tiny)
     # G[i, j] needs G[i-1, j] when link[i] and G[i, j-1] when link[j]: one
@@ -208,14 +214,14 @@ def solve_lyapunov(
         s = F.copy()
         s[rows] -= G[rows - 1]
         s[:, rows] -= G[:, rows - 1]
-        G = np.divide(s, denoms, out=np.zeros((d, d), dtype=complex), where=regular)
+        G = np.divide(s, denoms, out=np.zeros((d, d), dtype=complex), where=~singular)
 
     # the singular positions in row-major order: each free coefficient stays
     # zero and its right-hand side (an omega coefficient) must vanish
     long_block = link | np.append(link[1:], False)
     omega_checks = []
     free_pairs = set()
-    for i, j in zip(*(ix.tolist() for ix in np.nonzero(~regular))):
+    for i, j in zip(*(ix.tolist() for ix in np.nonzero(singular))):
         if long_block[i] or long_block[j]:
             raise NontrivialImaginaryBlock(
                 "vanishing diagonal inside a nontrivial Jordan block"
@@ -238,7 +244,7 @@ def solve_lyapunov(
     Z = (Z_raw - Z_raw.T) / 2
     Z.setflags(write=False)
 
-    zero_diag, imag_diag = _pair_diagnostics(X, M_i, jf, tol, scale)
+    zero_diag, imag_diag = _pair_diagnostics(X, M_i, jf, stability)
     count = len(free_pairs)
     return DrivingSolution(
         Z=Z,

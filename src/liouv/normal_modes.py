@@ -112,10 +112,6 @@ class NormalFormBlock:
     size: int
 
     @property
-    def diagonal_coefficient(self) -> complex:
-        return -2 * self.rapidity
-
-    @property
     def couplings(self) -> tuple[tuple[int, int], ...]:
         return tuple((l, l + 1) for l in range(1, self.size))
 

@@ -121,23 +121,6 @@ def _cluster(values: np.ndarray, tol: float) -> list[list[int]]:
     return [group.tolist() for group in np.split(order, cuts)]
 
 
-def _svd_rank(mat: np.ndarray, threshold: float) -> tuple[int, bool]:
-    """Rank by singular-value thresholding; flags borderline decisions."""
-    s = np.linalg.svd(mat, compute_uv=False)
-    if not len(s) or s[0] == 0.0:
-        return 0, False
-    borderline = bool(np.any((s > threshold / 10) & (s < threshold * 10)))
-    return int(np.sum(s > threshold)), borderline
-
-
-def _nullspace(mat: np.ndarray, nullity: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the nullspace, given its known dimension."""
-    _, _, vh = np.linalg.svd(mat)
-    if nullity == 0:
-        return np.zeros((mat.shape[1], 0), dtype=mat.dtype)
-    return vh[-nullity:, :].conj().T
-
-
 def _chains_for_rapidity(
     X: np.ndarray, beta: complex, multiplicity: int, tol_rank: float, x_norm: float
 ):
@@ -155,19 +138,22 @@ def _chains_for_rapidity(
         Y = X - complex(beta) * np.eye(d, dtype=complex)
 
     y_norm = float(np.linalg.norm(Y, 2))
+    # one SVD per power gives its rank, the borderline flag and, from the
+    # trailing right singular vectors, an orthonormal basis of ker Y^k
     nullities = []
+    nullbases = {}
     borderline = False
     power = np.eye(d, dtype=Y.dtype)
-    powers = []
     for k in range(1, multiplicity + 1):
         power = power @ Y
-        powers.append(power)
+        _, s, vh = np.linalg.svd(power)
         # noise floor of the k-th power: one factor carries the absolute
         # O(||X||) uncertainty of the clustered shift, the rest scale as ||Y||
         threshold = tol_rank * max(y_norm, x_norm, 1e-300) * max(y_norm, 1e-300) ** (k - 1)
-        r, bl = _svd_rank(power, threshold)
-        borderline = borderline or bl
+        borderline = borderline or bool(np.any((s > threshold / 10) & (s < threshold * 10)))
+        r = int(np.sum(s > threshold))
         nullities.append(d - r)
+        nullbases[k] = vh[r:].conj().T
         if nullities[-1] >= multiplicity:
             break
     if nullities[-1] != multiplicity:
@@ -178,12 +164,9 @@ def _chains_for_rapidity(
     per_size = dict(jordan_profile(nullities))
     sizes = [size for size, count in per_size.items() for _ in range(count)]
 
-    smax = len(nullities)
-    nullbases = {k: _nullspace(powers[k - 1], nullities[k - 1]) for k in range(1, smax + 1)}
-
     chains: list[np.ndarray] = []  # each (d, length), columns v_1..v_length
     eps = np.finfo(float).eps
-    for k in range(smax, 0, -1):
+    for k in range(len(nullities), 0, -1):
         want = per_size.get(k, 0)
         if want == 0:
             continue

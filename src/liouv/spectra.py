@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SpectrumTooLarge
-from .rapidity import JordanForm, StabilityReport, complex_abs, spectral_gap, stability_check
+from .rapidity import JordanForm, StabilityReport, complex_abs, spectral_gap
 from .tolerances import DEFAULTS
 
 # classify_ness builds all 2^k subset sums of the k zero/imaginary-axis modes
@@ -236,24 +236,20 @@ class NessReport:
     physicality_margin: float | None = None
 
 
-def classify_ness(
-    jf: JordanForm,
-    tol: float = DEFAULTS.tol_stability,
-    stability: StabilityReport | None = None,
-) -> NessReport:
+def classify_ness(jf: JordanForm, stability: StabilityReport) -> NessReport:
     """Uniqueness iff all rapidities lie strictly off the imaginary axis.
 
     stationary_dim counts occupation vectors with lambda_m = 0, enumerated
-    over the zero/imaginary rapidities only (all their blocks are trivial, so
-    occupations are 0/1); strictly stable modes must stay empty.  The 2^k
-    subset sums are built by doubling, one axis mode at a time.
+    over the zero/imaginary rapidities of the stability classes only (all
+    their blocks are trivial, so occupations are 0/1); strictly stable modes
+    must stay empty.  The 2^k subset sums are built by doubling, one axis mode
+    at a time, and vanish within stability.tol * ||X||_2.
     """
-    report = stability if stability is not None else stability_check(jf, tol)
     partner = dict(jf.conjugate_pairing)
     zero_modes = []
     imag_modes = []
     axis_betas = []
-    for cls, (_, _, idxs) in zip(report.classes, jf.rapidities()):
+    for cls, (_, _, idxs) in zip(stability.classes, jf.rapidities()):
         blocks_jk = [(jf.blocks[i].j, jf.blocks[i].k) for i in idxs]
         if cls.kind == "zero":
             zero_modes.extend(blocks_jk)
@@ -278,10 +274,10 @@ def classify_ness(
     for bit, beta in enumerate(axis_betas):
         half = 2**bit
         sums[half:2 * half] = sums[:half] + complex(beta)
-    stationary = int(np.count_nonzero(complex_abs(sums) <= tol * scale))
+    stationary = int(np.count_nonzero(complex_abs(sums) <= stability.tol * scale))
 
     return NessReport(
-        unique=report.all_strictly_stable,
+        unique=stability.all_strictly_stable,
         gap=spectral_gap(jf),
         zero_rapidity_modes=tuple(zero_modes),
         imaginary_pair_modes=tuple(imag_modes),

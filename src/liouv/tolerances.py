@@ -24,7 +24,6 @@ class Tolerances:
     tol_cluster: float = 1e-7
     tol_rank: float = 1e-9
     tol_stability: float = 1e-8
-    tol_lyap: float = 1e-8
     tol_omega: float = 1e-8
     tol_normal: float = 1e-8
     tol_merge: float = 1e-8

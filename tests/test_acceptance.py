@@ -56,7 +56,7 @@ def test_criterion_1_ising_pair_regression():
     gp, gm = g2 + g1, g2 - g1
     model = bundled("ising_pair.json")
     bath, X, jf = stage(model)
-    ds = solve_lyapunov(X, bath.M_i, jf)
+    ds = solve_lyapunov(X, bath.M_i, jf, stability_check(jf))
     Z_closed = (2 * gm / (2 * gp**2 + j**2)) * np.array(
         [[0, gp, j, 0], [-gp, 0, 0, 0], [-j, 0, 0, 0], [0, 0, 0, 0]]
     )
@@ -137,9 +137,10 @@ def test_criterion_5_ness_covariance():
         n = 1 + seed % 3
         model = random_model(n, seed=200 + seed)
         bath, X, jf = stage(model)
-        if not stability_check(jf).all_strictly_stable:
+        stability = stability_check(jf)
+        if not stability.all_strictly_stable:
             continue
-        ds = solve_lyapunov(X, bath.M_i, jf)
+        ds = solve_lyapunov(X, bath.M_i, jf, stability)
         on = _oracle_ness(model)
         assert on.kernel_dim == 1
         dev = np.abs(on.covariance - ness_covariance(ds.Z)).max()
@@ -154,19 +155,19 @@ def test_criterion_6_degeneracy_count():
     sw = Stopwatch(120.0)
     pair = bundled("ising_pair.json")
     bath, X, jf = stage(pair)
-    ness = classify_ness(jf)
+    ness = classify_ness(jf, stability_check(jf))
     on = _oracle_ness(pair)
     assert ness.stationary_dim == 2
     assert on.kernel_dim == 2
 
     chain = bundled("ising_chain_3.json")
     bath3, X3, jf3 = stage(chain)
-    ness3 = classify_ness(jf3)
+    report = stability_check(jf3)
+    ness3 = classify_ness(jf3, report)
     on3 = _oracle_ness(chain)
     assert ness3.stationary_dim > 2
     assert on3.kernel_dim == ness3.stationary_dim
     # the added spin contributes a fresh imaginary pair
-    report = stability_check(jf3)
     assert len(report.imaginary) == 2
     sw.done(
         f"6 degeneracy-count (pair 2 = 2, chain {ness3.stationary_dim} = {on3.kernel_dim})"
@@ -211,7 +212,7 @@ def test_criterion_8_property_suites():
             if abs(cls.rapidity.real) <= 1e-10:
                 assert all(s == 1 for s in cls.block_sizes)
 
-        ds = solve_lyapunov(X, bath.M_i, jf)
+        ds = solve_lyapunov(X, bath.M_i, jf, report)
         worst["lyap"] = max(worst["lyap"], ds.residual)
         assert ds.residual <= 1e-8 * max(
             1.0, np.abs(X).max() * max(np.abs(ds.Z).max(), 1.0) + np.abs(bath.M_i).max()

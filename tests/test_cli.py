@@ -11,12 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import liouv.cli
+import liouv.lyapunov
 import liouv.oracle
 from liouv.analysis import analyze, build_report, dumps_report
 from liouv.cli import main
 from liouv.io import load_model, model_to_dict, parse_model_dict
 from liouv.errors import ParseError
-from liouv.randmodel import random_model
+from liouv.model import validate_model
+from liouv.randmodel import random_axis_model, random_model
+from liouv.tolerances import Tolerances
 
 from conftest import critical_plus_decoupled, seventy_block_result
 
@@ -145,7 +148,7 @@ def test_parse_rejects_unknown_tolerance():
     {"tol_rank": 0},
     {"tol_psd": float("inf")},
     {"tol_merge": True},
-    {"tol_lyap": "1e-8"},
+    {"tol_omega": "1e-8"},
     {"spectrum_limit": 2.5},
     {"spectrum_limit": 0},
     {"spectrum_limit": False},
@@ -181,6 +184,60 @@ def test_model_tolerances_accept_positive_numbers():
            "tolerances": {"tol_merge": 1, "tol_rank": 1e-6, "spectrum_limit": 50}}
     _, tolerances = parse_model_dict(doc)
     assert (tolerances.tol_merge, tolerances.tol_rank, tolerances.spectrum_limit) == (1, 1e-6, 50)
+
+
+def test_model_file_rejects_removed_tol_lyap(tmp_path, capsys):
+    # the Lyapunov solve takes its singular pairs from the stability classes
+    doc = json.loads((MODELS / "ising_pair.json").read_text())
+    doc["tolerances"] = {"tol_lyap": 1e-8}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown tolerance" in captured.err
+
+
+def _rotated_axis_model():
+    """random_axis_model(4, 1, 2) under a Haar rotation O: K -> O K O^T,
+    l -> O l.  Its imaginary pair has Re beta = -7.8e-16."""
+    m = random_axis_model(4, 1, 2)
+    q, r = np.linalg.qr(np.random.default_rng(101).standard_normal((8, 8)))
+    O = q * np.sign(np.diag(r))
+    return validate_model(4, O @ m.K @ O.T, [O @ l for l in m.lindblad_vectors])
+
+
+@pytest.fixture(scope="module")
+def robustness_models(tmp_path_factory):
+    root = tmp_path_factory.mktemp("models")
+    paths = [model_path(f"{name}.json") for name in ("single_qubit", "ising_pair", "ising_chain_3")]
+    for name, model in (("rotated_axis", _rotated_axis_model()), ("random3", random_model(3, 0))):
+        path = root / f"{name}.json"
+        path.write_text(json.dumps(model_to_dict(model)))
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize("value", ["1e-300", "1e-18", "0.5", "1e300"])
+@pytest.mark.parametrize("flag", [f"--{f.name.replace('_', '-')}" for f in dataclasses.fields(Tolerances)
+                                  if f.name.startswith("tol_")])
+def test_extreme_tolerance_flags_never_raise(robustness_models, capsys, flag, value):
+    # an extreme tolerance may refuse the model (exit 2 or 3) but never
+    # ends in a traceback
+    for path in robustness_models:
+        assert main(["analyze", path, "--format", "json", flag, value]) in (0, 2, 3), path
+        capsys.readouterr()
+
+
+def test_unconverged_sign_iteration_exit_3(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "random3.json"
+    path.write_text(json.dumps(model_to_dict(random_model(3, 0))))
+    monkeypatch.setattr(liouv.lyapunov, "SIGN_MAX_STEPS", 2)
+    assert main(["analyze", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal invariant violated: sign iteration did not converge")
+    assert captured.err.count("\n") == 1
 
 
 def test_verify_bundled_and_random(capsys):

@@ -10,14 +10,12 @@ from liouv.combinatorics import (
     JordanBlockMultiset,
     _level_matrices,
     conjectured_blocks,
-    delta_matrix,
     jordan_blocks_of_nilpotent,
     nilpotent_blocks,
     nilpotent_map_matrix,
     restricted_binomial,
     restricted_binomial_row,
     seed_coefficients,
-    seed_vector,
     tensor_sum_blocks,
     tensor_sum_matrix,
     verify_conjecture,
@@ -99,7 +97,7 @@ def test_tensor_sum_blocks_known():
 @pytest.mark.parametrize("l", range(1, 7))
 def test_tensor_sum_blocks_against_staircase(k, l):
     claimed = tensor_sum_blocks(k, l)
-    assert claimed.total_dimension == k * l
+    assert sum(size * count for size, count in claimed.blocks) == k * l
     exact = jordan_blocks_of_nilpotent(tensor_sum_matrix(k, l))
     assert exact == claimed
 
@@ -132,6 +130,15 @@ def test_seed_identity_exact_4_3_2():
     assert sum(math.comb(kp + lp + 1, lp - 1 + q) * c[q - 1] for q in (1, 2)) == 0
 
 
+def seed_vector(k, l, r):
+    """The r-th chain seed as an exact vector on the |i,j> basis (i*l+j
+    indexing): c_q on |k-q+1, l-r+q>, 1-based labels."""
+    vec = [0] * (k * l)
+    for q, c in enumerate(seed_coefficients(k, l, r), start=1):
+        vec[(k - q) * l + l - r + q - 1] = c
+    return vec
+
+
 @pytest.mark.parametrize("k,l", [(2, 2), (3, 3), (4, 3), (5, 2), (6, 6), (5, 4)])
 def test_seed_vectors_generate_chains_of_exact_length(k, l):
     mat = tensor_sum_matrix(k, l)
@@ -151,7 +158,7 @@ def test_nilpotent_map_matrix_single_particle_is_jordan_block():
     # transpose of the canonical block: a single Jordan block of size l
     for l in range(2, 7):
         mat = nilpotent_map_matrix(l, 1)
-        assert mat == [list(row) for row in zip(*delta_matrix(l))]
+        assert mat == [[int(i == j + 1) for j in range(l)] for i in range(l)]
         assert jordan_blocks_of_nilpotent(mat).blocks == ((l, 1),)
 
 
@@ -232,7 +239,7 @@ def test_nilpotent_blocks_agree_small(l):
     for m in range(l + 1):
         rep = nilpotent_blocks(l, m)
         assert rep.agree, (l, m)
-        assert rep.staircase.total_dimension == math.comb(l, m)
+        assert sum(size * count for size, count in rep.staircase.blocks) == math.comb(l, m)
         assert rep.staircase.largest == (l - m) * m + 1
         middle = restricted_binomial(l, m, ((l - m) * m) // 2)
         assert rep.staircase.block_count == middle

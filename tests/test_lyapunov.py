@@ -7,11 +7,22 @@ from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
 import liouv.lyapunov
-from liouv.errors import InconsistentSingularSystem, NontrivialImaginaryBlock
-from liouv.lyapunov import lyapunov_residual, solve_lyapunov
+from liouv.errors import (
+    InconsistentSingularSystem,
+    InternalInvariantViolated,
+    NontrivialImaginaryBlock,
+    StabilityViolated,
+)
+from liouv.lyapunov import (
+    _dense_solution,
+    _jordan_solution,
+    _sign_iteration,
+    lyapunov_residual,
+    solve_lyapunov,
+)
 from liouv.model import build_bath_matrices, build_X, validate_model
 from liouv.randmodel import random_axis_model, random_model
-from liouv.rapidity import jordan_decompose, stability_check
+from liouv.rapidity import RapidityClass, StabilityReport, jordan_decompose, stability_check
 from liouv.tolerances import DEFAULTS
 
 from conftest import (
@@ -39,7 +50,7 @@ def stage(model):
 
 def test_ising_pair_matches_closed_form():
     bath, X, jf = stage(ising_pair_model())
-    ds = solve_lyapunov(X, bath.M_i, jf)
+    ds = solve_lyapunov(X, bath.M_i, jf, stability_check(jf))
     np.testing.assert_allclose(ds.Z, closed_form_Z(), atol=1e-12)
     assert ds.unique
     assert ds.free_parameter_count == 0
@@ -56,7 +67,7 @@ def test_zero_driving_gives_zero_Z():
     m = validate_model(1, np.zeros((2, 2)), [np.array([1.0, 0.0])])
     bath, X, jf = stage(m)
     assert np.abs(bath.M_i).max() == 0.0
-    ds = solve_lyapunov(X, bath.M_i, jf)
+    ds = solve_lyapunov(X, bath.M_i, jf, stability_check(jf))
     assert np.abs(ds.Z).max() == 0.0
     assert ds.residual == 0.0
 
@@ -68,7 +79,7 @@ def test_residual_of_zero_candidate():
 
 def test_residual_linear_in_perturbation():
     bath, X, jf = stage(ising_pair_model())
-    ds = solve_lyapunov(X, bath.M_i, jf)
+    ds = solve_lyapunov(X, bath.M_i, jf, stability_check(jf))
     rng = np.random.default_rng(0)
     E = rng.standard_normal((4, 4))
     E = (E - E.T) / 2
@@ -92,16 +103,22 @@ def test_integral_representation_oracle(seed):
         return expm(-X.T * t) @ bath.M_i @ expm(-X * t)
 
     Z_ref, _ = quad_vec(integrand, 0.0, horizon, epsabs=1e-10, epsrel=1e-10)
-    ds = solve_lyapunov(X, bath.M_i, jf)
+    ds = solve_lyapunov(X, bath.M_i, jf, report)
     assert np.abs(ds.Z - Z_ref).max() < 1e-6
+
+
+def both_paths(X, M_i, jf):
+    """The two private solvers on one strictly stable model."""
+    return _dense_solution(X, M_i), _jordan_solution(
+        X, M_i, jf, stability_check(jf), DEFAULTS.tol_omega
+    )
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_dense_and_jordan_paths_agree(seed):
     m = random_model(3, seed=seed)
     bath, X, jf = stage(m)
-    dense = solve_lyapunov(X, bath.M_i, jf, method="dense")
-    jordan = solve_lyapunov(X, bath.M_i, jf, method="jordan")
+    dense, jordan = both_paths(X, bath.M_i, jf)
     assert dense.method == "dense" and jordan.method == "jordan"
     assert np.abs(dense.Z - jordan.Z).max() < 1e-8
 
@@ -111,7 +128,7 @@ def test_engineered_axis_models_omega_vanishes(seed):
     decoupled = 1 + seed % 3  # zero mode, imaginary pair, or both
     m = random_axis_model(2, seed=seed, decoupled=decoupled)
     bath, X, jf = stage(m)
-    ds = solve_lyapunov(X, bath.M_i, jf)
+    ds = solve_lyapunov(X, bath.M_i, jf, stability_check(jf))
     assert ds.method == "jordan"
     assert ds.omega_checks, "axis model must hit singular rows"
     f_scale = max(np.abs(jf.P.T @ bath.M_i @ jf.P).max(), 1e-300)
@@ -128,19 +145,19 @@ def test_free_parameter_count_and_uniqueness():
     # one decoupled coordinate: a single zero rapidity, still unique
     m = random_axis_model(2, seed=3, decoupled=1)
     bath, X, jf = stage(m)
-    ds = solve_lyapunov(X, bath.M_i, jf)
+    ds = solve_lyapunov(X, bath.M_i, jf, stability_check(jf))
     assert ds.unique and ds.free_parameter_count == 0
 
     # two decoupled coordinates: one imaginary pair, one free coefficient
     m = random_axis_model(2, seed=3, decoupled=2)
     bath, X, jf = stage(m)
-    ds = solve_lyapunov(X, bath.M_i, jf)
+    ds = solve_lyapunov(X, bath.M_i, jf, stability_check(jf))
     assert not ds.unique and ds.free_parameter_count == 1
 
     # three: zero mode + imaginary pair
     m = random_axis_model(3, seed=3, decoupled=3)
     bath, X, jf = stage(m)
-    ds = solve_lyapunov(X, bath.M_i, jf)
+    ds = solve_lyapunov(X, bath.M_i, jf, stability_check(jf))
     assert not ds.unique and ds.free_parameter_count == 1
 
 
@@ -148,7 +165,7 @@ def test_antisymmetry_enforced_and_preprojection_small():
     for seed in range(10):
         m = random_model(3, seed=seed)
         bath, X, jf = stage(m)
-        ds = solve_lyapunov(X, bath.M_i, jf)
+        ds = solve_lyapunov(X, bath.M_i, jf, stability_check(jf))
         assert np.abs(ds.Z + ds.Z.T).max() == 0.0
         assert ds.asymmetry_preprojection <= 1e-8 * max(np.abs(ds.Z).max(), 1e-30)
 
@@ -161,21 +178,19 @@ def test_inconsistent_singular_system_raises():
     M_i[2, 3], M_i[3, 2] = 1.0, -1.0
     jf = jordan_decompose(X)
     with pytest.raises(InconsistentSingularSystem):
-        solve_lyapunov(X, M_i, jf)
+        solve_lyapunov(X, M_i, jf, stability_check(jf))
 
 
 def test_nontrivial_axis_block_raises():
+    # stability_check refuses this X; a report that lets the zero 2-block
+    # through must still not reach the substitution
     X = np.array([[0.0, 1.0], [0.0, 0.0]])
     jf = jordan_decompose(X)
-    M_i = np.zeros((2, 2))
+    with pytest.raises(StabilityViolated):
+        stability_check(jf)
+    report = StabilityReport(0.0, (RapidityClass(1, 0j, "zero", (2,)),), DEFAULTS.tol_stability)
     with pytest.raises(NontrivialImaginaryBlock):
-        solve_lyapunov(X, M_i, jf)
-
-
-def test_dense_path_refuses_singular_operator():
-    bath, X, jf = stage(ising_pair_model())
-    with pytest.raises(np.linalg.LinAlgError):
-        solve_lyapunov(X, bath.M_i, jf, method="dense")
+        solve_lyapunov(X, np.zeros((2, 2)), jf, report)
 
 
 def relative_residual(X, Z, M_i):
@@ -189,15 +204,13 @@ def test_dense_sign_iteration_at_n32(seed):
     # d = 64, where det(X) is already ~1e98
     m = random_model(32, seed=seed)
     bath, X, jf = stage(m)
-    dense = solve_lyapunov(X, bath.M_i, jf, method="dense")
-    jordan = solve_lyapunov(X, bath.M_i, jf, method="jordan")
-    assert dense.method == "dense"
+    dense, jordan = both_paths(X, bath.M_i, jf)
     assert np.abs(dense.Z - jordan.Z).max() <= 1e-10 * np.abs(jordan.Z).max()
     assert relative_residual(X, dense.Z, bath.M_i) <= 1e-14
     # (sX)^T Z + Z (sX) = s M_i has the same Z; det(sX) overflows to inf
     s = 1e5
     assert np.linalg.slogdet(s * X)[1] > np.log(np.finfo(float).max)
-    scaled = solve_lyapunov(s * X, s * bath.M_i, jordan_decompose(s * X), method="dense")
+    scaled = _dense_solution(s * X, s * bath.M_i)
     assert np.abs(scaled.Z - dense.Z).max() <= 1e-12 * np.abs(dense.Z).max()
 
 
@@ -207,26 +220,22 @@ def test_dense_defective_qubit_closed_form(dh):
     # X^T E + E X = tr(X) E with E = [[0, 1], [-1, 0]], so Z = M_i / tr(X)
     m = single_qubit_model(h=np.cos(np.pi / 3) + dh)
     bath, X, jf = stage(m)
-    ds = solve_lyapunov(X, bath.M_i, jf, method="dense")
+    ds = solve_lyapunov(X, bath.M_i, jf, stability_check(jf))
     assert ds.method == "dense"
     np.testing.assert_allclose(ds.Z, bath.M_i / np.trace(X), rtol=0, atol=1e-15)
     assert relative_residual(X, ds.Z, bath.M_i) <= 1e-15
 
 
-def test_dense_path_refuses_unstable_rapidity():
-    # rapidities 1 and -2: no pair sums to zero, but sign(X) != 1
-    X = np.diag([1.0, -2.0])
-    M_i = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    jf = jordan_decompose(X)
-    with pytest.raises(np.linalg.LinAlgError, match="Re beta"):
-        solve_lyapunov(X, M_i, jf, method="dense")
-
-
 def test_dense_path_refuses_unconverged_iteration(monkeypatch):
     bath, X, jf = stage(random_model(3, seed=0))
     monkeypatch.setattr(liouv.lyapunov, "SIGN_MAX_STEPS", 2)
-    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-        solve_lyapunov(X, bath.M_i, jf, method="dense")
+    with pytest.raises(InternalInvariantViolated, match="did not converge"):
+        solve_lyapunov(X, bath.M_i, jf, stability_check(jf))
+
+
+def test_sign_iteration_refuses_singular_iterate():
+    with pytest.raises(InternalInvariantViolated, match="singular iterate"):
+        _sign_iteration(np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 def test_dense_path_does_not_load_scipy_linalg():
@@ -247,7 +256,7 @@ def test_dense_path_does_not_load_scipy_linalg():
 def _jordan_path_reference(M_i, jf):
     """The per-position forward substitution the level sweeps replaced, kept
     verbatim as the reference: (Z, omega_checks, free pair count)."""
-    tol, tol_omega = DEFAULTS.tol_lyap, DEFAULTS.tol_omega
+    tol, tol_omega = DEFAULTS.tol_stability, DEFAULTS.tol_omega
     d = jf.dim
     scale = max(jf.x_norm, np.finfo(float).tiny)
     beta = np.zeros(d, dtype=complex)
@@ -288,7 +297,7 @@ def _jordan_path_reference(M_i, jf):
 def test_trivial_block_jordan_path_matches_loop(n, seed, decoupled):
     bath, X, jf = stage(random_axis_model(n, seed=seed, decoupled=decoupled))
     assert all(b.size == 1 for b in jf.blocks)
-    ds = solve_lyapunov(X, bath.M_i, jf)
+    ds = solve_lyapunov(X, bath.M_i, jf, stability_check(jf))
     assert ds.method == "jordan"
     Z, omega_checks, free = _jordan_path_reference(bath.M_i, jf)
     assert np.array_equal(ds.Z, Z)
@@ -305,7 +314,7 @@ def test_linked_jordan_path_matches_loop(copies, pairs, b, seed):
     # pairs route the solve to the Jordan path, whose sweeps walk the chains
     bath, X, jf = stage(critical_plus_decoupled(copies, pairs, b, seed))
     assert sorted(blk.size for blk in jf.blocks) == [1] * 2 * pairs + [2] * copies
-    ds = solve_lyapunov(X, bath.M_i, jf)
+    ds = solve_lyapunov(X, bath.M_i, jf, stability_check(jf))
     assert ds.method == "jordan"
     Z, omega_checks, free = _jordan_path_reference(bath.M_i, jf)
     assert np.array_equal(ds.Z, Z)

@@ -13,7 +13,7 @@ from liouv.model import (
 from liouv.lyapunov import solve_lyapunov
 from liouv.normal_modes import build_V, build_W, normal_form_coefficients
 from liouv.randmodel import random_model
-from liouv.rapidity import jordan_decompose
+from liouv.rapidity import jordan_decompose, stability_check
 
 from conftest import ising_pair_model, single_qubit_model
 
@@ -43,7 +43,7 @@ def full_stage(model):
     X = build_X(model, bath)
     sm = build_structure_matrix(model, bath)
     jf = jordan_decompose(X)
-    ds = solve_lyapunov(X, bath.M_i, jf)
+    ds = solve_lyapunov(X, bath.M_i, jf, stability_check(jf))
     return bath, X, sm, jf, ds
 
 
@@ -160,7 +160,7 @@ def test_normal_form_couplings():
     bath, X, sm, jf, ds = full_stage(m)
     nf = normal_form_coefficients(jf)
     assert nf.coupling_count == 1
-    assert nf.blocks[0].diagonal_coefficient == pytest.approx(-4.0, abs=1e-8)
+    assert -2 * nf.blocks[0].rapidity == pytest.approx(-4.0, abs=1e-8)
 
 
 def test_rapidity_trace_matches_A0():

@@ -18,7 +18,7 @@ from liouv.model import (
 )
 from liouv.normal_modes import build_V
 from liouv.randmodel import random_axis_model, random_model
-from liouv.rapidity import jordan_decompose
+from liouv.rapidity import jordan_decompose, stability_check
 from liouv.spectra import classify_ness, enumerate_spectrum, ness_covariance
 from liouv.tolerances import (
     ORACLE_TOL_KERNEL,
@@ -49,7 +49,7 @@ def full_stage(model):
     X = build_X(model, bath)
     sm = build_structure_matrix(model, bath)
     jf = jordan_decompose(X)
-    ds = solve_lyapunov(X, bath.M_i, jf)
+    ds = solve_lyapunov(X, bath.M_i, jf, stability_check(jf))
     return bath, X, sm, jf, ds
 
 
@@ -671,7 +671,7 @@ def test_zero_mode_descriptor_realizes_dense_kernel_direction():
 
     m = ising_pair_model()
     bath, X, sm, jf, ds = full_stage(m)
-    assert classify_ness(jf).zero_rapidity_modes == ((1, 1),)
+    assert classify_ness(jf, stability_check(jf)).zero_rapidity_modes == ((1, 1),)
     zero_row = jf.blocks[0].chain_start  # j=1 sorts first
 
     nmb = build_V(jf, ds.Z)
@@ -724,7 +724,7 @@ def test_imaginary_pair_combination_is_stationary_trace_zero():
 
     model, _ = load_model(str(files("liouv") / "models" / "ising_chain_3.json"))
     bath, X, sm, jf, ds = full_stage(model)
-    report = classify_ness(jf)
+    report = classify_ness(jf, stability_check(jf))
     assert len(report.imaginary_pair_modes) == 2
     j, jp, k, kp, _ = report.imaginary_pair_modes[0]
     assert (k, kp) == (1, 1)

@@ -133,7 +133,7 @@ def test_spectrum_limit():
 def test_classify_ising_pair():
     m = ising_pair_model()
     bath, X, jf = jordan_of(m)
-    report = classify_ness(jf)
+    report = classify_ness(jf, stability_check(jf))
     assert not report.unique
     assert report.zero_rapidity_modes == ((1, 1),)
     assert report.imaginary_pair_modes == ()
@@ -144,7 +144,7 @@ def test_classify_ising_pair():
 def test_classify_strictly_stable():
     m = random_model(3, seed=1)
     bath, X, jf = jordan_of(m)
-    report = classify_ness(jf)
+    report = classify_ness(jf, stability_check(jf))
     assert report.unique
     assert report.stationary_dim == 1
     assert report.zero_rapidity_modes == ()
@@ -154,7 +154,7 @@ def test_classify_strictly_stable():
 def test_classify_imaginary_pair():
     m = random_axis_model(2, seed=5, decoupled=2)
     bath, X, jf = jordan_of(m)
-    report = classify_ness(jf)
+    report = classify_ness(jf, stability_check(jf))
     assert not report.unique
     signs = sorted(mode[4] for mode in report.imaginary_pair_modes)
     assert signs == ["+", "-"]
@@ -166,7 +166,7 @@ def test_classify_imaginary_pair():
 def test_classify_zero_plus_pair():
     m = random_axis_model(3, seed=5, decoupled=3)
     bath, X, jf = jordan_of(m)
-    report = classify_ness(jf)
+    report = classify_ness(jf, stability_check(jf))
     assert len(report.zero_rapidity_modes) == 1
     assert len(report.imaginary_pair_modes) == 2
     assert report.stationary_dim == 4
@@ -201,8 +201,9 @@ def imaginary_pair_modes_by_search(jf, report):
 )
 def test_imaginary_pair_modes_match_search(model):
     _, _, jf = jordan_of(model)
-    report = classify_ness(jf)
-    assert report.imaginary_pair_modes == imaginary_pair_modes_by_search(jf, stability_check(jf))
+    stability = stability_check(jf)
+    report = classify_ness(jf, stability)
+    assert report.imaginary_pair_modes == imaginary_pair_modes_by_search(jf, stability)
 
 
 def test_covariance_trivial():
@@ -213,7 +214,7 @@ def test_covariance_trivial():
 def test_covariance_ising_pair_values():
     m = ising_pair_model()
     bath, X, jf = jordan_of(m)
-    ds = solve_lyapunov(X, bath.M_i, jf)
+    ds = solve_lyapunov(X, bath.M_i, jf, stability_check(jf))
     C = ness_covariance(ds.Z)
     gp, gm, j = GAMMA_P, GAMMA_M, J_COUPLING
     # C = 1 + 4i Z^T: the (1,2) entry carries -8i gm gp / (2 gp^2 + j^2)
@@ -226,8 +227,8 @@ def test_covariance_ising_pair_values():
 def test_covariance_physicality_and_attach():
     m = ising_pair_model()
     bath, X, jf = jordan_of(m)
-    ds = solve_lyapunov(X, bath.M_i, jf)
-    report = attach_covariance(classify_ness(jf), ds.Z, ds.unique)
+    ds = solve_lyapunov(X, bath.M_i, jf, stability_check(jf))
+    report = attach_covariance(classify_ness(jf, stability_check(jf)), ds.Z, ds.unique)
     assert report.covariance_unique is True
     assert report.physicality_margin == pytest.approx(physicality_margin(ds.Z))
     assert report.physicality_margin <= 1 + 1e-9
@@ -238,9 +239,10 @@ def test_physicality_bound_for_unique_ness(seed):
     # a genuine fermionic covariance needs all singular values of 4Z <= 1
     m = random_model(1 + seed % 3, seed=400 + seed)
     bath, X, jf = jordan_of(m)
-    if not stability_check(jf).all_strictly_stable:
+    stability = stability_check(jf)
+    if not stability.all_strictly_stable:
         pytest.skip("not strictly stable")
-    ds = solve_lyapunov(X, bath.M_i, jf)
+    ds = solve_lyapunov(X, bath.M_i, jf, stability)
     assert physicality_margin(ds.Z) <= 1 + 1e-7
 
 
@@ -254,7 +256,7 @@ def test_stationary_dim_counts_accidental_cancellations():
     P = np.eye(4, dtype=complex)
     pairing = ((0, 1), (1, 0), (2, 3), (3, 2))
     jf = JordanForm(P, P, blocks, pairing, 1.0, 1.0, 0.0, False)
-    report = classify_ness(jf)
+    report = classify_ness(jf, stability_check(jf))
     # subsets with balanced imaginary parts: {}, both pairs, each pair alone
     assert report.stationary_dim == 4
 
@@ -415,7 +417,7 @@ def test_stationary_count_matches_subset_loop(n, seed, decoupled):
     _, _, jf = jordan_of(random_axis_model(n, seed, decoupled))
     expected, modes = reference_stationary_dim(jf)
     assert modes == decoupled
-    assert classify_ness(jf).stationary_dim == expected
+    assert classify_ness(jf, stability_check(jf)).stationary_dim == expected
 
 
 def test_entry_views_index_like_iteration():
