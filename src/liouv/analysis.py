@@ -78,13 +78,13 @@ def analyze(
 ) -> AnalysisResult:
     """Run the whole fast path on a validated model."""
     t = tolerances
-    bath = build_bath_matrices(model, t.tol_psd)
+    bath = build_bath_matrices(model)
     X = build_X(model, bath)
-    structure = build_structure_matrix(model, bath, t.tol_build)
+    structure = build_structure_matrix(model, bath)
     jf = jordan_decompose(X, t.tol_cluster, t.tol_rank)
     stability = stability_check(jf, t.tol_stability)
-    driving = solve_lyapunov(X, bath.M_i, jf, stability, t.tol_omega)
-    nmb = build_V(jf, driving.Z, t.tol_normal)
+    driving = solve_lyapunov(X, bath.M_i, jf, stability)
+    nmb = build_V(jf, driving.Z)
     nform = normal_form_coefficients(jf)
     ness = classify_ness(jf, stability)
     ness = attach_covariance(ness, driving.Z, driving.unique)

@@ -24,6 +24,7 @@ from .errors import InputError, InternalInvariantViolated
 from .io import load_model
 from .randmodel import random_model
 from .tolerances import (
+    DEFAULTS,
     VERIFY_COVARIANCE_MAX,
     VERIFY_QUADRATIC_FORM_MAX,
     VERIFY_SPECTRUM_MAX,
@@ -85,18 +86,21 @@ def cmd_verify(args) -> int:
         _require(args.seed >= 0, f"--seed: expected a nonnegative integer, got {args.seed}")
         _require(args.vectors is None or args.vectors >= 0,
                  f"--vectors: expected a nonnegative integer, got {args.vectors}")
-        model = random_model(args.n, args.seed, args.vectors)
+        model, tolerances = random_model(args.n, args.seed, args.vectors), DEFAULTS
         label = f"random model n={args.n} seed={args.seed}"
     else:
         if not args.model_file:
             raise InputError("give a model file or --random")
         _require(args.n is None and args.seed is None and args.vectors is None,
                  "--n, --seed and --vectors apply only with --random")
-        model, _ = load_model(args.model_file)
+        model, tolerances = load_model(args.model_file)
         label = args.model_file
     # fail on the oracle's size limit before any work or output
     oracle.check_size(model.n)
-    result = analyze(model)
+    result = analyze(model, tolerances)
+    _require(result.spectrum is not None,
+             f"spectrum_limit {tolerances.spectrum_limit} leaves the spectrum unenumerated; "
+             "verify compares all of it")
 
     print(f"verify {label}: n={model.n}")
     sup = oracle.build_superoperator(model)

@@ -76,8 +76,7 @@ def parse_model_dict(doc: dict) -> tuple[QuadraticLindbladModel, Tolerances]:
             raise ParseError(f"field 'tolerances.{key}': unknown tolerance")
         tol_kwargs[key] = value
     tolerances = Tolerances(**tol_kwargs)
-    model = validate_model(n, K_arr, vectors, tolerances.tol_input)
-    return model, tolerances
+    return validate_model(n, K_arr, vectors), tolerances
 
 
 def load_model(path: str | Path) -> tuple[QuadraticLindbladModel, Tolerances]:

@@ -27,7 +27,7 @@ from .errors import (
     NontrivialImaginaryBlock,
 )
 from .rapidity import JordanForm, StabilityReport, complex_abs
-from .tolerances import DEFAULTS
+from .tolerances import OMEGA_MAX
 
 # sign iteration: step cap, and the relative change of A below which the
 # determinant scaling is switched off to keep the final steps quadratic
@@ -37,11 +37,10 @@ SIGN_UNSCALED_BELOW = 1e-2
 
 @dataclass(frozen=True)
 class ZeroModeDiagnostics:
-    """Solvability certificate for the zero-rapidity null space: K must vanish, Q >= 0."""
+    """Solvability certificate for the zero-rapidity null space: K must vanish."""
 
     positions: tuple[int, ...]
     K: np.ndarray
-    Q: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -52,8 +51,6 @@ class ImaginaryPairDiagnostics:
     positions_plus: tuple[int, ...]
     positions_minus: tuple[int, ...]
     K: np.ndarray
-    Q_plus: np.ndarray
-    Q_minus: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -109,15 +106,11 @@ def _sign_iteration(X: np.ndarray, M_i: np.ndarray) -> np.ndarray:
     )
 
 
-def _pair_diagnostics(X, M_i, jf, stability):
-    """K and Q matrices certifying solvability at the zero and imaginary
-    rapidities of the stability classes.
-
-    K collects the driving matrix elements between null-space eigenvectors
-    and must vanish whenever the bath matrix is PSD; Q is the bath quadratic
-    form reduced to the same vectors (PSD, equal to +-iK).
+def _pair_diagnostics(M_i, jf, stability):
+    """K matrices certifying solvability at the zero and imaginary rapidities
+    of the stability classes: the driving matrix elements between null-space
+    eigenvectors, which must vanish whenever the bath matrix is PSD.
     """
-    Mr = (X + X.T) / 4
     partner = dict(jf.conjugate_pairing)
     zero_diag = None
     imag_diag = []
@@ -125,20 +118,12 @@ def _pair_diagnostics(X, M_i, jf, stability):
         if cls.kind == "zero":
             pos = tuple(jf.blocks[i].chain_start for i in idxs)
             U = jf.P[:, list(pos)].real
-            K = U.T @ M_i @ U
-            Q = U.T @ (Mr + 1j * M_i) @ U
-            zero_diag = ZeroModeDiagnostics(pos, K, Q)
+            zero_diag = ZeroModeDiagnostics(pos, U.T @ M_i @ U)
         elif cls.kind == "imaginary" and beta.imag > 0:
             pos_p = tuple(jf.blocks[i].chain_start for i in idxs)
             pos_m = tuple(jf.blocks[partner[i]].chain_start for i in idxs)
-            Up = jf.P[:, list(pos_p)]
-            Um = jf.P[:, list(pos_m)]
-            K = Up.T @ M_i @ Um
-            Qp = Up.T @ (Mr + 1j * M_i) @ Um
-            Qm = Up.T @ (Mr - 1j * M_i) @ Um
-            imag_diag.append(
-                ImaginaryPairDiagnostics(beta.imag, pos_p, pos_m, K, Qp, Qm)
-            )
+            K = jf.P[:, list(pos_p)].T @ M_i @ jf.P[:, list(pos_m)]
+            imag_diag.append(ImaginaryPairDiagnostics(beta.imag, pos_p, pos_m, K))
     return zero_diag, tuple(imag_diag)
 
 
@@ -147,7 +132,6 @@ def solve_lyapunov(
     M_i: np.ndarray,
     jf: JordanForm,
     stability: StabilityReport,
-    tol_omega: float = DEFAULTS.tol_omega,
 ) -> DrivingSolution:
     """Solve X^T Z + Z X = M_i for real antisymmetric Z.
 
@@ -155,13 +139,13 @@ def solve_lyapunov(
     time, O(d^2) memory) when every rapidity is strictly stable, else the
     Jordan-basis substitution.  The Jordan path zeroes every free coefficient,
     counts the independent ones (unordered off-diagonal pairs), and verifies
-    the omega conditions.
+    the omega conditions against OMEGA_MAX.
     """
     X = np.asarray(X, dtype=float)
     M_i = np.asarray(M_i, dtype=float)
     if stability.all_strictly_stable:
         return _dense_solution(X, M_i)
-    return _jordan_solution(X, M_i, jf, stability, tol_omega)
+    return _jordan_solution(X, M_i, jf, stability)
 
 
 def _dense_solution(X: np.ndarray, M_i: np.ndarray) -> DrivingSolution:
@@ -182,11 +166,7 @@ def _dense_solution(X: np.ndarray, M_i: np.ndarray) -> DrivingSolution:
 
 
 def _jordan_solution(
-    X: np.ndarray,
-    M_i: np.ndarray,
-    jf: JordanForm,
-    stability: StabilityReport,
-    tol_omega: float,
+    X: np.ndarray, M_i: np.ndarray, jf: JordanForm, stability: StabilityReport
 ) -> DrivingSolution:
     """Level-sweep substitution in the Jordan basis.  Position (i, j) is
     singular when both of its blocks are classed zero or imaginary and
@@ -228,7 +208,7 @@ def _jordan_solution(
             )
         omega = abs(F[i, j])
         omega_checks.append((i * d + j, float(omega)))
-        if omega > tol_omega * f_scale:
+        if omega > OMEGA_MAX * f_scale:
             raise InconsistentSingularSystem(
                 f"omega_{i * d + j} = {omega:.3e} does not vanish "
                 f"(relative to |P^T M_i P| = {f_scale:.3e}); the bath "
@@ -244,7 +224,7 @@ def _jordan_solution(
     Z = (Z_raw - Z_raw.T) / 2
     Z.setflags(write=False)
 
-    zero_diag, imag_diag = _pair_diagnostics(X, M_i, jf, stability)
+    zero_diag, imag_diag = _pair_diagnostics(M_i, jf, stability)
     count = len(free_pairs)
     return DrivingSolution(
         Z=Z,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BuildInvariantViolated, DimensionMismatch, InputError, NotAntisymmetric
-from .tolerances import DEFAULTS
+from .tolerances import BATH_PSD_MARGIN, INPUT_ANTISYMMETRY_MAX, STRUCTURE_INVARIANT_MAX
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -53,17 +53,13 @@ class StructureMatrix:
     A0: float
 
 
-def validate_model(
-    n: int,
-    K: np.ndarray,
-    lindblad_vectors,
-    tol_input: float = DEFAULTS.tol_input,
-) -> QuadraticLindbladModel:
+def validate_model(n: int, K: np.ndarray, lindblad_vectors) -> QuadraticLindbladModel:
     """Check shapes, finiteness and antisymmetry; return the model with K
     antisymmetrized.
 
-    tol_input is relative to max|K|.  Raises DimensionMismatch,
-    NotAntisymmetric or InputError (NaN or infinite entries) on bad input.
+    The antisymmetry limit INPUT_ANTISYMMETRY_MAX is relative to max|K|.
+    Raises DimensionMismatch, NotAntisymmetric or InputError (NaN or
+    infinite entries) on bad input.
     """
     if n < 1:
         raise DimensionMismatch(f"n must be a positive integer, got {n}")
@@ -75,9 +71,9 @@ def validate_model(
         raise InputError("K has a NaN or infinite entry")
     scale = max(np.abs(K).max(), 1.0)
     asym = np.abs(K + K.T).max()
-    if asym > tol_input * scale:
+    if asym > INPUT_ANTISYMMETRY_MAX * scale:
         raise NotAntisymmetric(
-            f"max|K + K^T| = {asym:.3e} exceeds {tol_input:.1e} * max|K|"
+            f"max|K + K^T| = {asym:.3e} exceeds {INPUT_ANTISYMMETRY_MAX:.1e} * max|K|"
         )
     vectors = []
     for mu, l in enumerate(lindblad_vectors):
@@ -92,9 +88,7 @@ def validate_model(
     return QuadraticLindbladModel(n, _frozen((K - K.T) / 2), tuple(vectors))
 
 
-def build_bath_matrices(
-    model: QuadraticLindbladModel, tol_psd: float = DEFAULTS.tol_psd
-) -> BathMatrices:
+def build_bath_matrices(model: QuadraticLindbladModel) -> BathMatrices:
     """Assemble M = sum_mu l_mu (x) conj(l_mu); PSD by construction, asserted anyway."""
     d = model.dim
     M = np.zeros((d, d), dtype=complex)
@@ -105,7 +99,7 @@ def build_bath_matrices(
     if model.lindblad_vectors:
         scale = max(np.abs(M).max(), 1.0)
         lam_min = np.linalg.eigvalsh(M).min()
-        if lam_min < -tol_psd * scale:
+        if lam_min < -BATH_PSD_MARGIN * scale:
             raise BuildInvariantViolated(
                 f"bath matrix not PSD: min eigenvalue {lam_min:.3e}"
             )
@@ -133,16 +127,12 @@ def tilde_unitary(n: int) -> np.ndarray:
     return np.kron(u2, np.eye(d))
 
 
-def build_structure_matrix(
-    model: QuadraticLindbladModel,
-    bath: BathMatrices,
-    tol_build: float = DEFAULTS.tol_build,
-) -> StructureMatrix:
+def build_structure_matrix(model: QuadraticLindbladModel, bath: BathMatrices) -> StructureMatrix:
     """Assemble A blockwise and check antisymmetry and self-conjugation.
 
     A = [[2K + 2i M_i, 2i M], [-2i M^T, 2K - 2i M_i]] (equivalently the
     block form in -2iH with H = iK) and A_0 = 2 tr M_r.  Residuals above
-    tol_build * max|A| indicate an internal bug, not bad input.
+    STRUCTURE_INVARIANT_MAX * max|A| indicate an internal bug, not bad input.
     """
     d = model.dim
     twoK = 2 * model.K
@@ -156,7 +146,8 @@ def build_structure_matrix(
     asym = np.abs(A + A.T).max()
     # J A J with the permutation J = skew_unit(n): the two halves swapped
     conj_res = np.abs(A.conj() - np.roll(A, (d, d), axis=(0, 1))).max()
-    if asym > tol_build * scale or conj_res > tol_build * scale:
+    limit = STRUCTURE_INVARIANT_MAX * scale
+    if asym > limit or conj_res > limit:
         raise BuildInvariantViolated(
             f"structure matrix invariants failed: |A+A^T|={asym:.3e}, "
             f"|conj(A)-JAJ|={conj_res:.3e} at scale {scale:.3e}"

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NormalizationFailure
 from .model import skew_unit
 from .rapidity import JordanForm
-from .tolerances import DEFAULTS
+from .tolerances import NORMALIZATION_MAX
 
 
 @dataclass(frozen=True)
@@ -62,13 +62,14 @@ def _row_labels(jf: JordanForm) -> tuple[RowLabel, ...]:
     )
 
 
-def build_V(jf: JordanForm, Z: np.ndarray, tol: float = DEFAULTS.tol_normal) -> NormalModeBasis:
+def build_V(jf: JordanForm, Z: np.ndarray) -> NormalModeBasis:
     """Assemble V from the closed block form and verify its invariants.
 
     V = (1/sqrt2) [[P^T (1 - 4iZ), -i P^T (1 + 4iZ)], [P^-1, i P^-1]].
     (This is the product V_0 W written out; note the sign of 4iZ differs
     between the two upper blocks.)  Raises NormalizationFailure when
-    ||V V^T - J|| exceeds tol, signalling inconsistent P and Z inputs.
+    max|V V^T - J| exceeds NORMALIZATION_MAX (relative to max|V|^2),
+    signalling inconsistent P and Z inputs.
     """
     d = jf.dim
     P, P_inv = jf.P, jf.P_inv
@@ -83,7 +84,7 @@ def build_V(jf: JordanForm, Z: np.ndarray, tol: float = DEFAULTS.tol_normal) -> 
 
     J = skew_unit(d // 2)
     norm_res = float(np.abs(V @ V.T - J).max())
-    if norm_res > tol * max(1.0, np.abs(V).max() ** 2):
+    if norm_res > NORMALIZATION_MAX * max(1.0, np.abs(V).max() ** 2):
         raise NormalizationFailure(
             f"|V V^T - J| = {norm_res:.3e} exceeds tolerance; P and Z inconsistent"
         )

@@ -1,11 +1,15 @@
-"""Every tolerance of the pipeline, with its default, in one validated object.
+"""Every threshold of the pipeline, with its value, in one module.
 
-Each stage's function reads its default from DEFAULTS; model files and CLI
-flags override fields of a Tolerances instance.  All thresholds are relative
-to a scale the stage documents (max|K|, ||X||_2, max|A|, ...).
+Tolerances holds the thresholds that steer the pipeline: the cluster
+radius, the rank cut, the imaginary-axis class, the eigenvalue merge and
+the enumeration limit.  Each stage's function reads its default from
+DEFAULTS; model files and CLI flags override fields of a Tolerances
+instance.  All thresholds are relative to a scale the stage documents
+(max|K|, ||X||_2, max|A|, ...).
 
 The module constants below are fixed thresholds that judge results rather
-than steer the pipeline; no model file or flag sets them.
+than steer the pipeline: each only decides whether a check raises.  No
+model file or flag sets them.
 """
 
 from __future__ import annotations
@@ -18,14 +22,9 @@ from .errors import InputError
 
 @dataclass(frozen=True)
 class Tolerances:
-    tol_input: float = 1e-10
-    tol_build: float = 1e-12
-    tol_psd: float = 1e-10
     tol_cluster: float = 1e-7
     tol_rank: float = 1e-9
     tol_stability: float = 1e-8
-    tol_omega: float = 1e-8
-    tol_normal: float = 1e-8
     tol_merge: float = 1e-8
     spectrum_limit: int = 10**6
 
@@ -48,6 +47,16 @@ class Tolerances:
 
 DEFAULTS = Tolerances()
 
+# a model is rejected when max|K + K^T| exceeds this times max(max|K|, 1)
+INPUT_ANTISYMMETRY_MAX = 1e-10
+# the bath matrix M counts as PSD when no eigenvalue is below -this * max(max|M|, 1)
+BATH_PSD_MARGIN = 1e-10
+# largest |A + A^T| and |conj(A) - JAJ| of the structure matrix, relative to max(max|A|, 1)
+STRUCTURE_INVARIANT_MAX = 1e-12
+# a singular Lyapunov position's omega coefficient must vanish within this * max|P^T M_i P|
+OMEGA_MAX = 1e-8
+# largest |V V^T - J| of the normal-mode matrix, relative to max(max|V|^2, 1)
+NORMALIZATION_MAX = 1e-8
 
 # `liouv verify` passes when the oracle agrees within these (absolute)
 VERIFY_QUADRATIC_FORM_MAX = 1e-9

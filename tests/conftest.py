@@ -83,6 +83,25 @@ def critical_plus_decoupled(copies, pairs, b, seed, theta=np.pi / 3):
     return validate_model(copies + pairs, K, [O @ v for v in vectors])
 
 
+def planted_model(sizes, seed):
+    """Jordan blocks of the given sizes, all at rapidity 1, planted in
+    X = O (1 + 0.5 N) O^T with N nilpotent and O Haar-orthogonal from
+    `seed`.  K = (X - X^T)/4 and the Lindblad vectors come from
+    eigh((X + X^T)/4), so M_r = (X + X^T)/4 is PSD and M_i = 0.  eig splits
+    an l-block into a ring of radius about (eps ||X||)^(1/l)."""
+    d = sum(sizes)
+    N = np.zeros((d, d))
+    chain_starts = np.cumsum((0,) + tuple(sizes[:-1]))
+    for start, size in zip(chain_starts, sizes):
+        N[range(start, start + size - 1), range(start + 1, start + size)] = 1.0
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    O = q * np.sign(np.diag(r))
+    X = O @ (np.eye(d) + 0.5 * N) @ O.T
+    weights, U = np.linalg.eigh((X + X.T) / 4)
+    vectors = [np.sqrt(w) * U[:, i] for i, w in enumerate(weights)]
+    return validate_model(d // 2, (X - X.T) / 4, vectors)
+
+
 def seventy_block_result():
     """The single-qubit analysis with its spectrum replaced by that of one
     70-block: 4^35 = 2^70 overflows int64, so the dims are Python ints."""

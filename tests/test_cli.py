@@ -21,9 +21,12 @@ from liouv.model import validate_model
 from liouv.randmodel import random_axis_model, random_model
 from liouv.tolerances import Tolerances
 
-from conftest import critical_plus_decoupled, seventy_block_result
+from conftest import critical_plus_decoupled, planted_model, seventy_block_result
 
 MODELS = files("liouv") / "models"
+# thresholds that left Tolerances: tol_lyap went with the Lyapunov path choice,
+# the rest only judge a result and are module constants in liouv.tolerances
+REMOVED_TOLERANCES = ("tol_lyap", "tol_input", "tol_build", "tol_psd", "tol_omega", "tol_normal")
 
 
 def run_cli(args, env=None):
@@ -146,9 +149,9 @@ def test_parse_rejects_unknown_tolerance():
     {"tol_cluster": float("nan")},  # used to exit 3
     {"tol_stability": -1},  # used to exit 3
     {"tol_rank": 0},
-    {"tol_psd": float("inf")},
+    {"tol_stability": float("inf")},
     {"tol_merge": True},
-    {"tol_omega": "1e-8"},
+    {"tol_cluster": "1e-7"},
     {"spectrum_limit": 2.5},
     {"spectrum_limit": 0},
     {"spectrum_limit": False},
@@ -186,10 +189,10 @@ def test_model_tolerances_accept_positive_numbers():
     assert (tolerances.tol_merge, tolerances.tol_rank, tolerances.spectrum_limit) == (1, 1e-6, 50)
 
 
-def test_model_file_rejects_removed_tol_lyap(tmp_path, capsys):
-    # the Lyapunov solve takes its singular pairs from the stability classes
+@pytest.mark.parametrize("key", REMOVED_TOLERANCES)
+def test_model_file_rejects_removed_tol_lyap(tmp_path, capsys, key):
     doc = json.loads((MODELS / "ising_pair.json").read_text())
-    doc["tolerances"] = {"tol_lyap": 1e-8}
+    doc["tolerances"] = {key: 1e-8}
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
     assert main(["analyze", str(path)]) == 2
@@ -218,12 +221,32 @@ def robustness_models(tmp_path_factory):
     return paths
 
 
+def _flag(name):
+    return f"--{name.replace('_', '-')}"
+
+
+def test_analyze_help_lists_steering_tolerance_flags(capsys):
+    with pytest.raises(SystemExit):
+        main(["analyze", "--help"])
+    help_text = capsys.readouterr().out
+    assert sorted(set(re.findall(r"--tol-[a-z]+", help_text))) == [
+        "--tol-cluster", "--tol-merge", "--tol-rank", "--tol-stability"]
+    assert "--limit" in help_text
+
+
 @pytest.mark.parametrize("value", ["1e-300", "1e-18", "0.5", "1e300"])
-@pytest.mark.parametrize("flag", [f"--{f.name.replace('_', '-')}" for f in dataclasses.fields(Tolerances)
-                                  if f.name.startswith("tol_")])
+@pytest.mark.parametrize("flag", [_flag(f.name) for f in dataclasses.fields(Tolerances)
+                                  if f.name.startswith("tol_")]
+                         + [_flag(name) for name in REMOVED_TOLERANCES])
 def test_extreme_tolerance_flags_never_raise(robustness_models, capsys, flag, value):
     # an extreme tolerance may refuse the model (exit 2 or 3) but never
-    # ends in a traceback
+    # ends in a traceback; a removed tolerance flag is a usage error (exit 2)
+    if flag in {_flag(name) for name in REMOVED_TOLERANCES}:
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", robustness_models[0], flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        return
     for path in robustness_models:
         assert main(["analyze", path, "--format", "json", flag, value]) in (0, 2, 3), path
         capsys.readouterr()
@@ -237,6 +260,26 @@ def test_unconverged_sign_iteration_exit_3(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal invariant violated: sign iteration did not converge")
+    assert captured.err.count("\n") == 1
+
+
+def test_verify_honours_model_file_tolerances(tmp_path, capsys):
+    # eig splits the planted 3-block into a ring of radius about 5e-6; only
+    # the file's tol_cluster merges it, in analyze and in verify alike
+    doc = model_to_dict(planted_model((3, 1), 3))
+    doc["tolerances"] = {"tol_cluster": 1e-3}
+    path = tmp_path / "planted.json"
+    path.write_text(json.dumps(doc))
+    assert [b.size for b in analyze(*load_model(path)).jordan.blocks] == [3, 1]
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+    # a spectrum_limit that leaves the spectrum unenumerated is an input error
+    doc["tolerances"]["spectrum_limit"] = 3
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: spectrum_limit 3")
     assert captured.err.count("\n") == 1
 
 

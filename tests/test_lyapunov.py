@@ -23,7 +23,7 @@ from liouv.lyapunov import (
 from liouv.model import build_bath_matrices, build_X, validate_model
 from liouv.randmodel import random_axis_model, random_model
 from liouv.rapidity import RapidityClass, StabilityReport, jordan_decompose, stability_check
-from liouv.tolerances import DEFAULTS
+from liouv.tolerances import DEFAULTS, OMEGA_MAX
 
 from conftest import (
     GAMMA_M,
@@ -109,9 +109,7 @@ def test_integral_representation_oracle(seed):
 
 def both_paths(X, M_i, jf):
     """The two private solvers on one strictly stable model."""
-    return _dense_solution(X, M_i), _jordan_solution(
-        X, M_i, jf, stability_check(jf), DEFAULTS.tol_omega
-    )
+    return _dense_solution(X, M_i), _jordan_solution(X, M_i, jf, stability_check(jf))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -256,7 +254,7 @@ def test_dense_path_does_not_load_scipy_linalg():
 def _jordan_path_reference(M_i, jf):
     """The per-position forward substitution the level sweeps replaced, kept
     verbatim as the reference: (Z, omega_checks, free pair count)."""
-    tol, tol_omega = DEFAULTS.tol_stability, DEFAULTS.tol_omega
+    tol = DEFAULTS.tol_stability
     d = jf.dim
     scale = max(jf.x_norm, np.finfo(float).tiny)
     beta = np.zeros(d, dtype=complex)
@@ -283,7 +281,7 @@ def _jordan_path_reference(M_i, jf):
                 G[i, j] = s / denom
             else:
                 omega_checks.append((i * d + j, float(abs(s))))
-                assert abs(s) <= tol_omega * f_scale
+                assert abs(s) <= OMEGA_MAX * f_scale
                 G[i, j] = 0.0
                 if i != j:
                     free_pairs.add((min(i, j), max(i, j)))
