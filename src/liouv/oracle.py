@@ -1,15 +1,18 @@
 """Brute-force ground truth at small fermion number.
 
 Explicit Jordan-Wigner Majorana matrices on the 2^n Hilbert space, the dense
-4^n x 4^n Lindblad superoperator (column-stacked vec convention), the
-Majorana maps on the operator Fock basis P_alpha as signed permutations, and
-the comparisons that pin the fast path: the quadratic-form identity per parity
-sector, spectrum multisets, and steady-state correlators.  Every check takes
-the generator it checks, built once by `build_superoperator`.  In the
-Hermitian basis the generator is real and splits into two parity blocks, whose
-SVDs give the kernel; each block is triangular in the Majorana degree, so the
-spectrum comes from its 2n+1 diagonal degree blocks.  The Majorana matrices
-and the basis transform are built once per n and kept read-only.
+4^n x 4^n Lindblad generator on the Majorana-monomial basis
+P_alpha = 2^{-n/2} w_1^a1 ... w_2n^a2n, scattered from K and the Lindblad
+vectors alone (left and right multiplication by a Majorana is a signed
+permutation of that basis), the Majorana maps of the operator Fock space as
+signed permutations, and the comparisons that pin the fast path: the
+quadratic-form identity per parity sector, spectrum multisets, and
+steady-state correlators.  Every check takes the generator it checks, built
+once by `build_superoperator`.  In the Hermitian basis the generator is real
+and splits into two parity blocks, whose SVDs give the kernel; each block is
+triangular in the Majorana degree, so the spectrum comes from its 2n+1
+diagonal degree blocks.  The Majorana matrices are built once per n and kept
+read-only.
 """
 
 from __future__ import annotations
@@ -61,76 +64,23 @@ def majorana_ops(n: int) -> MajoranaRep:
     return _majorana_ops(n)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 @functools.cache
 def _majorana_ops(n: int) -> MajoranaRep:
     ws = []
     for j in range(n):
-        string = [_SIGMA3] * j
         for op in (_SIGMA1, _SIGMA2):
-            factors = string + [op] + [np.eye(2, dtype=complex)] * (n - j - 1)
-            mat = factors[0]
-            for f in factors[1:]:
-                mat = np.kron(mat, f)
-            ws.append(_read_only(mat))
+            ws.append(functools.reduce(np.kron, [_SIGMA3] * j + [op] + [np.eye(2)] * (n - j - 1)))
+            ws[-1].setflags(write=False)
     return MajoranaRep(n, tuple(ws))
-
-
-def hamiltonian_matrix(model: QuadraticLindbladModel, rep: MajoranaRep) -> np.ndarray:
-    """H = w . (iK) w on the Hilbert space."""
-    d = model.dim
-    H = np.zeros((2**model.n, 2**model.n), dtype=complex)
-    iK = 1j * model.K
-    for j in range(d):
-        for k in range(d):
-            if iK[j, k] != 0:
-                H += iK[j, k] * (rep.w[j] @ rep.w[k])
-    return H
-
-
-def lindblad_operators(model: QuadraticLindbladModel, rep: MajoranaRep) -> list[np.ndarray]:
-    return [
-        sum(l[j] * rep.w[j] for j in range(model.dim))
-        for l in model.lindblad_vectors
-    ]
 
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Dense matrix of rho -> L rho in the column-stacked vec basis."""
+    """Dense matrix of rho -> L rho on the Majorana-monomial basis P_alpha."""
 
     n: int
     matrix: np.ndarray
     trace_preservation_residual: float
-
-
-def build_superoperator(model: QuadraticLindbladModel) -> Superoperator:
-    """Assemble the Lindblad generator as a 4^n x 4^n matrix.
-
-    vec is column stacking, so A rho B maps to kron(B^T, A).  The trace
-    functional must annihilate the generator from the left (machine
-    precision); a violation means the assembly is broken.
-    """
-    rep = majorana_ops(model.n)
-    dim = 2**model.n
-    eye = np.eye(dim, dtype=complex)
-    H = hamiltonian_matrix(model, rep)
-    S = -1j * (np.kron(eye, H) - np.kron(H.T, eye))
-    for L in lindblad_operators(model, rep):
-        LdL = L.conj().T @ L
-        S += 2 * np.kron(L.conj(), L) - np.kron(eye, LdL) - np.kron(LdL.T, eye)
-    tr_vec = eye.reshape(-1, order="F").conj()
-    scale = max(np.abs(S).max(), 1.0)
-    residual = float(np.abs(tr_vec @ S).max() / scale)
-    if residual > ORACLE_TOL_TRACE:
-        raise BuildInvariantViolated(
-            f"superoperator is not trace-preserving: residual {residual:.3e}"
-        )
-    return Superoperator(model.n, S, residual)
 
 
 def _alpha_bits(n: int) -> np.ndarray:
@@ -139,24 +89,73 @@ def _alpha_bits(n: int) -> np.ndarray:
     return (np.arange(4**n)[None, :] >> np.arange(2 * n)[:, None]) & 1
 
 
-def fock_basis_transform(n: int) -> np.ndarray:
-    """Unitary T with columns vec(P_alpha): maps P_alpha coefficients to vec.
+def _jordan_wigner_signs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(-1)^(bits of alpha below j) and (-1)^(bits above j), each (2n, 4^n)."""
+    bits = _alpha_bits(n)
+    below = np.cumsum(bits, axis=0) - bits
+    above = bits.sum(axis=0) - below - bits
+    return 1 - 2 * (below % 2), 1 - 2 * (above % 2)
 
-    The monomials with highest Majorana j are those below j times w_j on the
-    right, so 2n batched products build all 4^n; each performs the matrix
-    products of the monomial's own chain 2^{-n/2} w_1^a1 ... w_2n^a2n.  Built
-    once per n; the array is read-only.
+
+def build_superoperator(model: QuadraticLindbladModel) -> Superoperator:
+    """Scatter the Lindblad generator on the P_alpha basis, a 4^n x 4^n matrix,
+    from K and the Lindblad vectors alone.
+
+    Left and right multiplication by w_j, L_j and R_j, flip bit j of alpha
+    with the sign of the bits below j (L_j) or above j (R_j) (third
+    quantisation: Prosen, NJP 10, 043026 (2008)).  With H = i sum K_jk w_j w_k
+    and M = sum_mu l_mu conj(l_mu)^T the generator is
+    sum_jk K_jk (L_j L_k - R_k R_j) + 2 M_jk L_j R_k - M_kj (L_j L_k + R_k R_j),
+    and each (j, k) moves column alpha to the row with bits j and k flipped.
+    tr P_alpha vanishes unless alpha = 0, so row 0 of a trace-preserving
+    generator vanishes (machine precision); a violation means the assembly
+    is broken.
     """
-    check_size(n)
-    return _fock_basis_transform(n)
+    check_size(model.n)
+    d = model.dim
+    l = np.reshape(model.lindblad_vectors, (-1, d))
+    M = l.T @ l.conj()
+    K = model.K
+    left, right = _jordan_wigner_signs(model.n)
+    cols = np.arange(4**model.n)
+    S = np.zeros((4**model.n, 4**model.n), dtype=complex)
+    for j in range(d):
+        for k in range(d):
+            after_k, after_j = cols ^ (1 << k), cols ^ (1 << j)
+            LL = left[j][after_k] * left[k]
+            RR = right[k][after_j] * right[j]
+            LR = left[j][after_k] * right[k]
+            S[after_k ^ (1 << j), cols] += (
+                (K[j, k] - M[k, j]) * LL - (K[j, k] + M[k, j]) * RR + 2 * M[j, k] * LR
+            )
+    scale = max(np.abs(S).max(), 1.0)
+    residual = float(np.abs(S[0]).max() / scale)
+    if residual > ORACLE_TOL_TRACE:
+        raise BuildInvariantViolated(
+            f"superoperator is not trace-preserving: residual {residual:.3e}"
+        )
+    return Superoperator(model.n, S, residual)
 
 
-@functools.cache
-def _fock_basis_transform(n: int) -> np.ndarray:
-    mats = np.eye(2**n, dtype=complex)[None] * 2 ** (-n / 2)
-    for wj in _majorana_ops(n).w:
-        mats = np.concatenate([mats, mats @ wj])
-    return _read_only(mats.transpose(0, 2, 1).reshape(4**n, -1).T)
+def fock_operator(coeff: np.ndarray, n: int) -> np.ndarray:
+    """The 2^n x 2^n operator sum_alpha coeff_alpha P_alpha.
+
+    P_alpha = 2^{-n/2} w_1^a1 ... w_2n^a2n has one nonzero per column, as each
+    w_j does.  The monomials with highest Majorana j are those below j times
+    w_j on the right, so 2n doublings give the rows and values of all 4^n, in
+    O(2^n 4^n).
+    """
+    dim = 2**n
+    cols = np.arange(dim)
+    rows = cols[None]
+    values = np.full((1, dim), 2 ** (-n / 2), dtype=complex)
+    for wj in majorana_ops(n).w:
+        wj_rows = np.abs(wj).argmax(axis=0)
+        rows = np.concatenate([rows, rows[:, wj_rows]])
+        values = np.concatenate([values, values[:, wj_rows] * wj[wj_rows, cols]])
+    out = np.zeros(dim * dim, dtype=complex)
+    np.add.at(out, rows * dim + cols, coeff[:, None] * values)
+    return out.reshape(dim, dim)
 
 
 def fock_degree(n: int) -> np.ndarray:
@@ -187,7 +186,7 @@ def fock_majoranas(n: int) -> tuple[np.ndarray, np.ndarray]:
     check_size(n)
     d = 2 * n
     bits = _alpha_bits(n)
-    sign = 1 - 2 * ((np.cumsum(bits, axis=0) - bits) % 2)
+    sign, _ = _jordan_wigner_signs(n)
     h = 1 / np.sqrt(2)
     values = np.concatenate([sign * h + 0j, 1j * (sign * (2 * bits - 1)) * h])
     flips = np.tile(1 << np.arange(d), 2)
@@ -216,32 +215,27 @@ def quadratic_form_matrix(sm_A: np.ndarray, A0: float, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadraticFormReport:
-    """The dense generator in the Hermitian basis, and the certificates that
-    make the diagonal degree blocks of its two real parity blocks its spectrum.
+    """The generator in the Hermitian basis, and the certificates that make
+    the diagonal degree blocks of its two real parity blocks its spectrum.
 
     The quadratic-form identity holds on the even-parity sector with the
     structure matrix A, and on the odd sector with the driving-flipped matrix;
-    `residual` is the max of the two.  parity_leak measures how well the dense
-    generator preserves parity, imaginary_residual how well it maps Hermitian
-    operators to Hermitian ones: max|Im Q^dag S Q| over max(max|Q^dag S Q|, 1),
-    both machine precision.  degree_leak is the largest coupling, on the same
-    scale, that the grading forbids: the even block keeps the Majorana degree
-    or raises it by 2 (the driving), the odd block keeps it or lowers it by 2.
-    even and odd are the real parts of the generator's blocks on the two
-    sectors in the Hermitian basis Q_alpha; even_basis and odd_basis hold the
-    vec(Q_alpha) of each sector as columns.
+    `residual` is the max of the two.  imaginary_residual measures how well
+    the generator maps Hermitian operators to Hermitian ones: max|Im Q^dag S Q|
+    over max(max|S|, 1), machine precision.  degree_leak is the largest
+    coupling, on the same scale, that the grading forbids: the even block
+    keeps the Majorana degree or raises it by 2 (the driving), the odd block
+    keeps it or lowers it by 2.  even and odd are the real parts of the
+    generator's blocks on the two sectors in the Hermitian basis Q_alpha.
     """
 
     n: int
     residual_even: float
     residual_odd: float
-    parity_leak: float
     imaginary_residual: float
     degree_leak: float
     even: np.ndarray = field(repr=False, compare=False)
     odd: np.ndarray = field(repr=False, compare=False)
-    even_basis: np.ndarray = field(repr=False, compare=False)
-    odd_basis: np.ndarray = field(repr=False, compare=False)
 
     @property
     def residual(self) -> float:
@@ -261,8 +255,8 @@ class QuadraticFormReport:
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of the generator, degree block by degree block in
-        order of k; the whole spectrum only while parity_leak,
-        imaginary_residual and degree_leak are negligible."""
+        order of k; the whole spectrum only while imaginary_residual and
+        degree_leak are negligible."""
         return np.concatenate([np.linalg.eigvals(b) for b in self.degree_blocks()])
 
 
@@ -274,46 +268,30 @@ def _forbidden_couplings(degree: np.ndarray, step: int) -> np.ndarray:
 
 
 def verify_quadratic_form(sup: Superoperator, structure: StructureMatrix) -> QuadraticFormReport:
-    """Rotate the generator sup to the P_alpha basis and compare it with the
-    quadratic form of the structure matrix in the Fock maps, per parity sector;
-    then rephase it to the Hermitian basis Q_alpha = i^{k(k-1)/2} P_alpha, where
-    a Lindbladian is real (third quantisation: Prosen, NJP 10, 043026 (2008)),
-    and measure how far its real sector blocks are from degree-triangular.
-    The rephasing multiplies by +-1 and +-i, so it is exact."""
+    """Compare the generator sup with the quadratic form of the structure
+    matrix in the Fock maps, per parity sector; then rephase each sector block
+    to the Hermitian basis Q_alpha = i^{k(k-1)/2} P_alpha, where a Lindbladian
+    is real (third quantisation: Prosen, NJP 10, 043026 (2008)), and measure
+    how far the real blocks are from degree-triangular.  Every term of the
+    generator flips 0 or 2 bits of alpha, so it has no entry between the
+    sectors.  The rephasing multiplies by +-1 and +-i, so it is exact."""
     n = sup.n
-    T = fock_basis_transform(n)
-    S_fock = T.conj().T @ sup.matrix @ T
     even = fock_parity_even(n)
-    odd = ~even
-
-    form_even = quadratic_form_matrix(structure.A, structure.A0, n)
-    form_odd = quadratic_form_matrix(odd_sector_structure_matrix(structure), structure.A0, n)
-    S_even = S_fock[np.ix_(even, even)]
-    S_odd = S_fock[np.ix_(odd, odd)]
-    res_even = float(np.abs(S_even - form_even[np.ix_(even, even)]).max())
-    res_odd = float(np.abs(S_odd - form_odd[np.ix_(odd, odd)]).max())
-    leak = float(
-        max(
-            np.abs(S_fock[np.ix_(even, odd)]).max(initial=0.0),
-            np.abs(S_fock[np.ix_(odd, even)]).max(initial=0.0),
-        )
-    )
     phase = hermitian_phases(n)
-    S_herm = S_fock * np.outer(phase.conj(), phase)
-    scale = max(float(np.abs(S_herm).max()), 1.0)
-    imaginary = float(np.abs(S_herm.imag).max()) / scale
-    real_even = S_herm.real[np.ix_(even, even)]
-    real_odd = S_herm.real[np.ix_(odd, odd)]
     degree = fock_degree(n)
-    degree_leak = max(
-        np.abs(real_even[_forbidden_couplings(degree[even], 2)]).max(initial=0.0),
-        np.abs(real_odd[_forbidden_couplings(degree[odd], -2)]).max(initial=0.0),
-    ) / scale
-    Q = T * phase
-    return QuadraticFormReport(
-        n, res_even, res_odd, leak, imaginary, float(degree_leak),
-        real_even, real_odd, Q[:, even], Q[:, odd],
-    )
+    scale = max(float(np.abs(sup.matrix).max()), 1.0)
+    sectors = []
+    for sector, A, step in ((even, structure.A, 2),
+                            (~even, odd_sector_structure_matrix(structure), -2)):
+        block = sup.matrix[np.ix_(sector, sector)]
+        form = quadratic_form_matrix(A, structure.A0, n)[np.ix_(sector, sector)]
+        herm = block * np.outer(phase[sector].conj(), phase[sector])
+        real = np.ascontiguousarray(herm.real)
+        forbidden = real[_forbidden_couplings(degree[sector], step)]
+        sectors.append((float(np.abs(block - form).max()), float(np.abs(herm.imag).max()) / scale,
+                        float(np.abs(forbidden).max(initial=0.0)) / scale, real))
+    residual, imaginary, leak, real = zip(*sectors)
+    return QuadraticFormReport(n, *residual, max(imaginary), max(leak), *real)
 
 
 @dataclass(frozen=True)
@@ -323,8 +301,8 @@ class OracleNess:
     rho is the unique steady state when kernel_dim == 1, otherwise the one the
     dynamics reaches from the maximally mixed state.  positive_witness_found
     records that its smallest eigenvalue passes -ORACLE_TOL_POS.  covariance
-    is tr(w_j w_k rho).  kernel_vectors is an orthonormal kernel basis in the
-    vec basis, the even sector's columns first.
+    is tr(w_j w_k rho).  kernel_vectors is an orthonormal kernel basis of
+    P_alpha coefficients, the even sector's columns first.
     """
 
     kernel_dim: int
@@ -339,17 +317,25 @@ class OracleNess:
 def oracle_ness(qf: QuadraticFormReport) -> OracleNess:
     """Kernel basis of the generator and its steady state from 1/2^n.
 
-    qf certifies that the generator is the direct sum of its two real parity
-    blocks, so its kernel is the sum of theirs: one real SVD per sector, each
-    cut against the larger top singular value.  The zero eigenvalue of a
+    The generator is the direct sum of its two parity blocks, which qf
+    certifies real, so its kernel is the sum of theirs: one real SVD per
+    sector, each cut against the larger top singular value.  The zero eigenvalue of a
     Lindbladian is semisimple, so with R and L the right and left null vectors
     of a block, P0 = R (L^T R)^-1 L^T projects onto its kernel along its range.
-    P0 is the long-time average of the CPTP maps exp(tS), so rho = P0 vec(1/2^n)
+    P0 is the long-time average of the CPTP maps exp(tS), so rho = P0 (1/2^n)
     is a positive trace-one steady state (Albert and Jiang, PRA 89, 022118
     (2014)); 1/2^n is even, so only the even block's P0 acts on it.
     """
     n = qf.n
-    dim = 2**n
+    even = fock_parity_even(n)
+    phase = hermitian_phases(n)
+
+    def on_fock(q, sector):
+        """Q_alpha coefficients of a sector, as columns, to P_alpha ones."""
+        p = np.zeros((4**n, q.shape[1]), dtype=complex)
+        p[sector] = phase[sector, None] * q
+        return p
+
     u, s_even, vt_even = np.linalg.svd(qf.even)
     _, s_odd, vt_odd = np.linalg.svd(qf.odd)
     cut = ORACLE_TOL_KERNEL * max(s_even[0], s_odd[0], 1.0)
@@ -357,13 +343,13 @@ def oracle_ness(qf: QuadraticFormReport) -> OracleNess:
     left = u[:, s_even <= cut].T  # L^T
     if right.shape[1] == 0:
         raise BuildInvariantViolated("generator has no even kernel; impossible for a Lindbladian")
-    kernel = np.hstack([qf.even_basis @ right, qf.odd_basis @ vt_odd[s_odd <= cut].T])
+    kernel = np.hstack([on_fock(right, even), on_fock(vt_odd[s_odd <= cut].T, ~even)])
 
     # 1/2^n = 2^{-n/2} Q_0, and Q_0 is the first even basis element
-    mixed = np.zeros(len(s_even))
+    mixed = np.zeros((len(s_even), 1))
     mixed[0] = 2 ** (-n / 2)
-    coeff = right @ np.linalg.solve(left @ right, left @ mixed)
-    rho = (qf.even_basis @ coeff).reshape(dim, dim, order="F")
+    coeff = on_fock(right @ np.linalg.solve(left @ right, left @ mixed), even)
+    rho = fock_operator(coeff[:, 0], n)
     min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
     w = majorana_ops(n).w
     C = np.array([[np.trace(wj @ wk @ rho) for wk in w] for wj in w])

@@ -1,8 +1,10 @@
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from liouv import oracle
 from liouv.model import (
     build_bath_matrices,
     build_structure_matrix,
@@ -175,6 +177,66 @@ def dense_quadratic_form(sm_A, A0, maps):
                 combo += sm_A[p, q] * aq
         out += ap @ combo
     return out
+
+
+def hamiltonian_matrix(model, w):
+    """H = w . (iK) w on the Hilbert space, w the Jordan-Wigner Majoranas."""
+    d = model.dim
+    H = np.zeros((2**model.n, 2**model.n), dtype=complex)
+    iK = 1j * model.K
+    for j in range(d):
+        for k in range(d):
+            if iK[j, k] != 0:
+                H += iK[j, k] * (w[j] @ w[k])
+    return H
+
+
+def lindblad_operators(model, w):
+    """L_mu = l_mu . w on the Hilbert space."""
+    return [sum(l[j] * w[j] for j in range(model.dim)) for l in model.lindblad_vectors]
+
+
+def kron_superoperator(model):
+    """The reference generator in the column-stacked vec basis, where A rho B
+    is kron(B^T, A), assembled from H and the L_mu on the Hilbert space: the
+    build `oracle.build_superoperator` is checked against, through
+    `fock_basis_transform`."""
+    w = oracle.majorana_ops(model.n).w
+    eye = np.eye(2**model.n, dtype=complex)
+    H = hamiltonian_matrix(model, w)
+    S = -1j * (np.kron(eye, H) - np.kron(H.T, eye))
+    for L in lindblad_operators(model, w):
+        LdL = L.conj().T @ L
+        S += 2 * np.kron(L.conj(), L) - np.kron(eye, LdL) - np.kron(LdL.T, eye)
+    return S
+
+
+@functools.cache
+def fock_basis_transform(n):
+    """Unitary T with columns vec(P_alpha): maps P_alpha coefficients to vec.
+
+    The monomials with highest Majorana j are those below j times w_j on the
+    right, so 2n batched products build all 4^n; each performs the matrix
+    products of the monomial's own chain 2^{-n/2} w_1^a1 ... w_2n^a2n.  Built
+    once per n; the array is read-only.
+    """
+    mats = np.eye(2**n, dtype=complex)[None] * 2 ** (-n / 2)
+    for wj in oracle.majorana_ops(n).w:
+        mats = np.concatenate([mats, mats @ wj])
+    T = mats.transpose(0, 2, 1).reshape(4**n, -1).T
+    T.setflags(write=False)
+    return T
+
+
+def to_fock(S_vec, n):
+    """A vec-basis superoperator on the P_alpha basis, T^dag S T."""
+    T = fock_basis_transform(n)
+    return T.conj().T @ S_vec @ T
+
+
+def reference_superoperator(model):
+    """The kron build rotated to the P_alpha basis, as an oracle.Superoperator."""
+    return oracle.Superoperator(model.n, to_fock(kron_superoperator(model), model.n), 0.0)
 
 
 def pipeline_stage(model):

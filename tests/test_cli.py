@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -31,8 +32,6 @@ REMOVED_TOLERANCES = ("tol_lyap", "tol_input", "tol_build", "tol_psd", "tol_omeg
 
 def run_cli(args, env=None):
     cmd = [sys.executable, "-m", "liouv.cli", *args]
-    import os
-
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
@@ -307,35 +306,47 @@ def test_verify_corrupt_hook_exit_3(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def _parity_odd_coupling(n):
-    """The commutator with the Majorana w_1, -i[w_1, .], as a vec superoperator:
-    it maps even-parity operators to odd ones and keeps the trace."""
-    w1 = liouv.oracle.majorana_ops(n).w[0]
-    eye = np.eye(2**n)
-    return -1j * (np.kron(eye, w1) - np.kron(w1.T, eye))
-
-
-def test_verify_fails_on_parity_leak(monkeypatch, capsys):
-    """A generator that leaks parity fails verify even when every other check
-    passes: the sector spectrum check is only sound without the leak."""
-    real_build = liouv.oracle.build_superoperator
+def test_verify_fails_when_the_pipeline_bath_matrix_is_shifted(monkeypatch, capsys):
+    """The oracle builds M from the Lindblad vectors itself: a PSD shift of
+    one Hermitian pair of the pipeline's M by 1e-6 fails verify."""
+    real_bath = liouv.analysis.build_bath_matrices
     built = []
 
-    def leaky_superoperator(model):
-        sup = real_build(model)
-        built.append(sup)
-        return dataclasses.replace(sup, matrix=sup.matrix + 1e-8 * _parity_odd_coupling(model.n))
+    def shifted_bath(model):
+        bath = real_bath(model)
+        shift = np.zeros_like(bath.M)
+        shift[np.ix_([0, 1], [0, 1])] = 1e-6  # 1e-6 (e_0 + e_1)(e_0 + e_1)^T
+        M = bath.M + shift
+        built.append(M)
+        return dataclasses.replace(bath, M=M, M_r=bath.M_r + shift.real)
 
-    monkeypatch.setattr(liouv.oracle, "build_superoperator", leaky_superoperator)
-    assert main(["verify", "--random", "--n", "2", "--seed", "11"]) == 3
+    monkeypatch.setattr(liouv.analysis, "build_bath_matrices", shifted_bath)
+    assert main(["verify", "--random", "--n", "3", "--seed", "1"]) == 3
     out = capsys.readouterr().out
-    assert len(built) == 1
-    leak = float(re.search(r"parity leak (\S+)", out).group(1))
-    assert 1e-9 < leak < 1e-7
-    assert "kernel dim 1 vs stationary_dim 1: ok" in out
-    assert float(re.search(r"covariance deviation: (\S+)", out).group(1)) < 1e-7
-    assert float(re.search(r"spectrum multiset deviation: (\S+)", out).group(1)) < 1e-7
+    assert len(built) == 1 and np.linalg.eigvalsh(built[0]).min() > -1e-15
+    assert float(re.search(r"even (\S+),", out).group(1)) > 1e-7
     assert out.splitlines()[-1] == "FAIL"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["at_a_print", "at_the_final_flush"])
+def test_closed_stdout_pipe_exits_without_a_traceback(unbuffered):
+    """A reader that closed the pipe, as `liouv verify ... | head -n 1` does,
+    makes the write fail at a print (unbuffered) or at the flush before exit
+    (block-buffered); either way the exit code is 141 and stderr stays empty."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "liouv.cli", "verify", "--random", "--n", "4", "--seed", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_verify_fails_on_degree_leak(monkeypatch, capsys):
@@ -350,7 +361,6 @@ def test_verify_fails_on_degree_leak(monkeypatch, capsys):
     assert main(["verify", "--random", "--n", "2", "--seed", "11"]) == 3
     out = capsys.readouterr().out
     assert float(re.search(r"Majorana-degree leak: (\S+)", out).group(1)) == 1e-8
-    assert float(re.search(r"parity leak (\S+)", out).group(1)) < 1e-13
     assert float(re.search(r"imaginary residual: (\S+)", out).group(1)) < 1e-13
     assert "kernel dim 1 vs stationary_dim 1: ok" in out
     assert float(re.search(r"covariance deviation: (\S+)", out).group(1)) < 1e-7

@@ -31,8 +31,14 @@ from conftest import (
     build_fock_maps,
     critical_plus_decoupled,
     dense_quadratic_form,
+    fock_basis_transform,
+    hamiltonian_matrix,
     ising_pair_model,
+    kron_superoperator,
+    planted_model,
+    reference_superoperator,
     single_qubit_model,
+    to_fock,
 )
 
 
@@ -130,7 +136,7 @@ def test_quadratic_form_matrix_matches_dense_loop(n):
 
 
 def test_fock_basis_transform_unitary():
-    T = oracle.fock_basis_transform(2)
+    T = fock_basis_transform(2)
     np.testing.assert_allclose(T.conj().T @ T, np.eye(16), atol=1e-14)
 
 
@@ -151,14 +157,14 @@ def _fock_basis_transform_by_products(n):
 def test_fock_basis_transform_matches_products(n):
     """Every entry is +-2^{-n/2} or +-i 2^{-n/2}, so the batched build equals
     the monomial-by-monomial products exactly."""
-    T = oracle.fock_basis_transform(n)
+    T = fock_basis_transform(n)
     np.testing.assert_array_equal(T, _fock_basis_transform_by_products(n))
     assert set(np.unique(np.abs(T))) == {0.0, 2 ** (-n / 2)}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_hermitian_basis_is_hermitian_and_orthonormal(n):
-    Q = oracle.fock_basis_transform(n) * oracle.hermitian_phases(n)
+    Q = fock_basis_transform(n) * oracle.hermitian_phases(n)
     dim = 2**n
     for col in Q.T:
         mat = col.reshape(dim, dim, order="F")
@@ -179,20 +185,53 @@ def _realness_models():
 @pytest.mark.parametrize("model", list(_realness_models()))
 def test_hermitian_basis_blocks_are_real(model):
     """A Lindbladian maps Hermitian operators to Hermitian ones, so it is real
-    in the basis Q_alpha; the two blocks are the generator's sector blocks,
-    rephased."""
-    sup = oracle.build_superoperator(model)
-    rep = oracle.verify_quadratic_form(sup, _structure(model))
+    in the basis Q_alpha; the two blocks are the sector blocks of the kron
+    reference build, rephased."""
+    rep = oracle.verify_quadratic_form(oracle.build_superoperator(model), _structure(model))
     assert rep.imaginary_residual < 1e-13
     assert rep.even.dtype == rep.odd.dtype == np.float64
     even = oracle.fock_parity_even(model.n)
-    Q = oracle.fock_basis_transform(model.n) * oracle.hermitian_phases(model.n)
-    S_herm = Q.conj().T @ sup.matrix @ Q
+    Q = fock_basis_transform(model.n) * oracle.hermitian_phases(model.n)
+    S_herm = Q.conj().T @ kron_superoperator(model) @ Q
     scale = max(np.abs(S_herm).max(), 1.0)
     np.testing.assert_allclose(rep.even, S_herm[np.ix_(even, even)], rtol=0, atol=1e-13 * scale)
     np.testing.assert_allclose(rep.odd, S_herm[np.ix_(~even, ~even)], rtol=0, atol=1e-13 * scale)
-    np.testing.assert_array_equal(rep.even_basis, Q[:, even])
-    np.testing.assert_array_equal(rep.odd_basis, Q[:, ~even])
+
+
+def _reference_build_models():
+    """No Lindblad vectors, K = 0, random, axis, planted and linked models."""
+    for n in (1, 2, 3, 4):
+        yield f"hamiltonian{n}", random_model(n, n, n_vectors=0)
+        yield f"dissipative{n}", validate_model(n, np.zeros((2 * n, 2 * n)),
+                                                random_model(n, n + 10).lindblad_vectors)
+        yield f"random{n}", random_model(n, 90 + n)
+        yield f"axis{n}", random_axis_model(n, 90 + n, 1 + n % (2 * n - 1))
+    yield "planted_2_2", planted_model((2, 2), 3)
+    yield "linked", critical_plus_decoupled(2, 1, 0.7, 1)
+    yield "linked_4_block", critical_plus_decoupled(3, 0, 0.7, 2)
+
+
+REFERENCE_BUILD_MODELS = list(_reference_build_models())
+
+
+@pytest.mark.parametrize("model", [m for _, m in REFERENCE_BUILD_MODELS],
+                         ids=[name for name, _ in REFERENCE_BUILD_MODELS])
+def test_superoperator_matches_the_kron_reference(model):
+    """The generator scattered on P_alpha is T^dag S T of the vec-basis kron
+    build.  The reference itself keeps parity and Hermiticity: it has no entry
+    between the sectors and is real in the basis Q_alpha, the two certificates
+    that the direct build meets by construction."""
+    n = model.n
+    sup = oracle.build_superoperator(model)
+    ref = reference_superoperator(model).matrix
+    scale = max(np.abs(ref).max(), 1.0)
+    np.testing.assert_allclose(sup.matrix, ref, rtol=0, atol=1e-13 * scale)
+    even = oracle.fock_parity_even(n)
+    assert not sup.matrix[np.ix_(even, ~even)].any() and not sup.matrix[np.ix_(~even, even)].any()
+    assert np.abs(ref[np.ix_(even, ~even)]).max() < 1e-15 * scale
+    assert np.abs(ref[np.ix_(~even, even)]).max() < 1e-15 * scale
+    phase = oracle.hermitian_phases(n)
+    assert np.abs((ref * np.outer(phase.conj(), phase)).imag).max() < 1e-15 * scale
 
 
 def test_zero_model_superoperator():
@@ -235,7 +274,6 @@ def test_quadratic_form_fixtures():
     for m in (single_qubit_model(), ising_pair_model()):
         rep = quadratic_form_report(m)
         assert rep.residual < 1e-10
-        assert rep.parity_leak < 1e-14
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -244,7 +282,6 @@ def test_quadratic_form_random_models(seed):
     m = random_model(n, seed=seed, n_vectors=max(1, n - 1))
     rep = quadratic_form_report(m)
     assert rep.residual < 1e-9
-    assert rep.parity_leak < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -252,7 +289,6 @@ def test_sector_eigenvalues_match_full_eigvals(n):
     for m in (random_model(n, 40 + n), random_axis_model(n, 40 + n, 1)):
         sup = oracle.build_superoperator(m)
         rep = oracle.verify_quadratic_form(sup, build_structure_matrix(m, build_bath_matrices(m)))
-        assert rep.parity_leak < 1e-12
         full = np.linalg.eigvals(sup.matrix)
         assert oracle.match_multisets(rep.eigenvalues(), full).deviation < 1e-10
 
@@ -335,21 +371,20 @@ def test_odd_degree_block_is_not_its_own_occupation_number(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_degree_leak_sees_a_degree_lowering_term(n):
-    """eps {i w_1 w_2, .} keeps parity and Hermiticity; on a monomial holding
-    w_1 and w_2 it lowers the degree by 2 with weight 2 eps, forbidden in the
-    even sector (and its raising part is forbidden in the odd one)."""
+    """eps {i w_1 w_2, .}, added on P_alpha, keeps parity and Hermiticity; on
+    a monomial holding w_1 and w_2 it lowers the degree by 2 with weight
+    2 eps, forbidden in the even sector (and its raising part is forbidden in
+    the odd one)."""
     eps = 1e-6
     model = random_model(n, 5)
     sup = oracle.build_superoperator(model)
     w = oracle.majorana_ops(n).w
     X = 1j * w[0] @ w[1]
     eye = np.eye(2**n)
-    anticommutator = np.kron(eye, X) + np.kron(X.T, eye)
+    anticommutator = to_fock(np.kron(eye, X) + np.kron(X.T, eye), n)
     perturbed = dataclasses.replace(sup, matrix=sup.matrix + eps * anticommutator)
     rep = oracle.verify_quadratic_form(perturbed, _structure(model))
-    Q = oracle.fock_basis_transform(n) * oracle.hermitian_phases(n)
-    scale = max(np.abs(Q.conj().T @ perturbed.matrix @ Q).max(), 1.0)
-    assert rep.parity_leak == 0.0
+    scale = max(np.abs(perturbed.matrix).max(), 1.0)
     assert rep.imaginary_residual < 1e-13
     assert rep.degree_leak == pytest.approx(2 * eps / scale, rel=1e-6)
     assert rep.degree_leak > VERIFY_QUADRATIC_FORM_MAX
@@ -375,10 +410,8 @@ def test_single_structure_matrix_fails_on_odd_sector():
     bath = build_bath_matrices(m)
     sm = build_structure_matrix(m, bath)
     sup = oracle.build_superoperator(m)
-    T = oracle.fock_basis_transform(1)
-    S_fock = T.conj().T @ sup.matrix @ T
     form = oracle.quadratic_form_matrix(sm.A, sm.A0, 1)
-    assert np.abs(S_fock - form).max() > 1.0
+    assert np.abs(sup.matrix - form).max() > 1.0
 
 
 def test_oracle_ness_unique_stable():
@@ -408,7 +441,7 @@ def test_oracle_ness_even_correlators_insensitive():
     rep = oracle.majorana_ops(2)
     kernel = on.kernel_vectors
     # rebuild the one-parameter family rho(alpha) from the kernel
-    rhos = [kernel[:, i].reshape(4, 4, order="F") for i in range(2)]
+    rhos = [oracle.fock_operator(kernel[:, i], 2) for i in range(2)]
     herm = [(r + r.conj().T) / 2 for r in rhos] + [(r - r.conj().T) / 2j for r in rhos]
     herm = [h for h in herm if np.abs(h).max() > 1e-12]
     traceful = next(h for h in herm if abs(np.trace(h)) > 1e-9)
@@ -458,7 +491,8 @@ def test_oracle_ness_state_is_a_stationary_density_matrix(kernel_dim, build):
     assert on.kernel_dim == kernel_dim
     S = sup.matrix
     rho = on.rho
-    assert np.abs(S @ rho.reshape(-1, order="F")).max() <= 1e-10 * max(np.abs(S).max(), 1.0)
+    coeff = fock_basis_transform(m.n).conj().T @ rho.reshape(-1, order="F")
+    assert np.abs(S @ coeff).max() <= 1e-10 * max(np.abs(S).max(), 1.0)
     assert abs(np.trace(rho) - 1) < 1e-12
     assert np.abs(rho - rho.conj().T).max() < 1e-12
     assert on.hermiticity_residual < 1e-12
@@ -469,17 +503,54 @@ def test_oracle_ness_state_is_a_stationary_density_matrix(kernel_dim, build):
         np.testing.assert_allclose(on.covariance, ness.covariance, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_fock_operator_is_the_reference_transform(n):
+    """The sparse monomials give sum_alpha c_alpha P_alpha as T @ c does, and
+    the steady state is the operator of its P_alpha coefficients: with a
+    one-dimensional kernel those are the kernel vector scaled to
+    tr rho = 2^{n/2} c_0 = 1."""
+    T = fock_basis_transform(n)
+    rng = np.random.default_rng(n)
+    c = rng.standard_normal(4**n) + 1j * rng.standard_normal(4**n)
+    np.testing.assert_allclose(oracle.fock_operator(c, n), (T @ c).reshape(2**n, 2**n, order="F"),
+                               rtol=0, atol=1e-14)
+    on = oracle.oracle_ness(quadratic_form_report(random_model(n, 30 + n)))
+    assert on.kernel_dim == 1
+    coeff = on.kernel_vectors[:, 0] / (on.kernel_vectors[0, 0] * 2 ** (n / 2))
+    np.testing.assert_allclose(on.rho, (T @ coeff).reshape(2**n, 2**n, order="F"),
+                               rtol=0, atol=1e-15)
+
+
+ORACLE_NESS_FIXTURES = [
+    single_qubit_model(), ising_pair_model(), random_model(3, 7), random_axis_model(4, 3, 5),
+    critical_plus_decoupled(2, 1, 0.7, 1), critical_plus_decoupled(1, 1, 0.0, 3), _zero(2),
+] + [_bundled(name) for name in ("single_qubit", "ising_pair", "ising_chain_3")]
+
+
+@pytest.mark.parametrize("model", ORACLE_NESS_FIXTURES)
+def test_oracle_ness_matches_the_kron_reference(model):
+    """The steady state of the direct build is that of the kron reference."""
+    sm = _structure(model)
+    on = oracle.oracle_ness(oracle.verify_quadratic_form(oracle.build_superoperator(model), sm))
+    ref = oracle.oracle_ness(oracle.verify_quadratic_form(reference_superoperator(model), sm))
+    assert on.kernel_dim == ref.kernel_dim
+    assert on.positive_witness_found == ref.positive_witness_found
+    assert on.min_eigenvalue == pytest.approx(ref.min_eigenvalue, rel=0, abs=1e-13)
+    np.testing.assert_allclose(on.rho, ref.rho, rtol=0, atol=1e-12)
+
+
 def _dense_reference_ness(sup):
     """Kernel and steady state from one complex SVD of the whole generator:
-    P0 = R (L^dag R)^-1 L^dag applied to vec(1/2^n)."""
-    dim = 2**sup.n
+    P0 = R (L^dag R)^-1 L^dag applied to 1/2^n = 2^{-n/2} P_0."""
+    n = sup.n
     u, s, vh = np.linalg.svd(sup.matrix)
     null = s <= ORACLE_TOL_KERNEL * max(s[0], 1.0)
     kernel = vh[null].conj().T
     left = u[:, null].conj().T
-    mixed = np.eye(dim).reshape(-1) / dim
-    rho = (kernel @ np.linalg.solve(left @ kernel, left @ mixed)).reshape(dim, dim, order="F")
-    return kernel, rho
+    mixed = np.zeros(4**n)
+    mixed[0] = 2 ** (-n / 2)
+    coeff = kernel @ np.linalg.solve(left @ kernel, left @ mixed)
+    return kernel, (fock_basis_transform(n) @ coeff).reshape(2**n, 2**n, order="F")
 
 
 def _generator(model):
@@ -528,10 +599,10 @@ def test_sector_kernel_matches_dense_svd(kernel_dim, build):
 
 
 def test_verify_fails_on_an_imaginary_hermitian_basis_part(monkeypatch, capsys):
-    """i eps times a Hamiltonian commutator, added to the generator and to the
-    structure matrix alike, leaves the quadratic form, the parity split, the
-    spectrum, the kernel and the covariance within their limits; only the
-    realness residual sees that the generator no longer preserves Hermiticity."""
+    """i eps times a Hamiltonian commutator, added on P_alpha to the generator
+    and to the structure matrix alike, leaves the quadratic form, the spectrum,
+    the kernel and the covariance within their limits; only the realness
+    residual sees that the generator no longer preserves Hermiticity."""
     import liouv.cli
     from liouv.cli import main
 
@@ -539,9 +610,9 @@ def test_verify_fails_on_an_imaginary_hermitian_basis_part(monkeypatch, capsys):
     n = 2
     K = np.random.default_rng(7).standard_normal((2 * n, 2 * n))
     K = (K - K.T) / 2
-    H = oracle.hamiltonian_matrix(validate_model(n, K, []), oracle.majorana_ops(n))
+    H = hamiltonian_matrix(validate_model(n, K, []), oracle.majorana_ops(n).w)
     eye = np.eye(2**n)
-    commutator = np.kron(eye, H) - np.kron(H.T, eye)  # i * (-i [H, .])
+    commutator = to_fock(np.kron(eye, H) - np.kron(H.T, eye), n)  # i * (-i [H, .])
     real_build, real_analyze = oracle.build_superoperator, liouv.cli.analyze
 
     def perturbed_superoperator(model):
@@ -565,7 +636,7 @@ def test_verify_fails_on_an_imaginary_hermitian_basis_part(monkeypatch, capsys):
         return float(re.search(label + r" (\S+?),?(?: |$)", out, re.M).group(1))
 
     assert number("imaginary residual:") > VERIFY_QUADRATIC_FORM_MAX
-    for label in ("even", "odd", "parity leak"):
+    for label in ("even", "odd"):
         assert number(label) < 1e-13
     assert number("spectrum multiset deviation:") < 1e-7
     assert number("covariance deviation:") < 1e-7
@@ -643,7 +714,7 @@ def test_defective_superoperator_jordan_block():
 
 
 def _fock_vector_to_operator(n, coeff):
-    T = oracle.fock_basis_transform(n)
+    T = fock_basis_transform(n)
     return (T @ coeff).reshape(2**n, 2**n, order="F")
 
 
@@ -676,9 +747,7 @@ def test_zero_mode_descriptor_realizes_dense_kernel_direction():
 
     nmb = build_V(jf, ds.Z)
     maps = build_fock_maps(2)
-    T = oracle.fock_basis_transform(2)
-    sup = oracle.build_superoperator(m)
-    S_fock = T.conj().T @ sup.matrix @ T
+    S_fock = oracle.build_superoperator(m).matrix
     parity = np.diag(maps.parity).real
     trace_dual = np.zeros(16)
     trace_dual[0] = 2.0
@@ -702,7 +771,7 @@ def test_zero_mode_descriptor_realizes_dense_kernel_direction():
     assert np.linalg.norm(S_fock @ dir_true) < 1e-10
 
     on = oracle.oracle_ness(quadratic_form_report(m))
-    odd_kernel = (T.conj().T @ on.kernel_vectors)
+    odd_kernel = on.kernel_vectors.copy()
     odd_kernel[parity > 0, :] = 0
     u, s, _ = np.linalg.svd(odd_kernel, full_matrices=False)
     assert s[0] > 1e-3  # the dense kernel has one odd direction
@@ -731,9 +800,7 @@ def test_imaginary_pair_combination_is_stationary_trace_zero():
 
     nmb = build_V(jf, ds.Z)
     maps = build_fock_maps(3)
-    T = oracle.fock_basis_transform(3)
-    sup = oracle.build_superoperator(model)
-    S_fock = T.conj().T @ sup.matrix @ T
+    S_fock = oracle.build_superoperator(model).matrix
     parity = np.diag(maps.parity).real
     trace_dual = np.zeros(64)
     trace_dual[0] = 2**1.5
@@ -793,7 +860,7 @@ def test_normal_master_modes_almost_car_and_vacua():
 
     # vacua: every annihilation mode kills |NESS>, every creation mode kills <1|
     on = oracle.oracle_ness(quadratic_form_report(m))
-    T = oracle.fock_basis_transform(2)
+    T = fock_basis_transform(2)
     ness_coeff = T.conj().T @ on.rho.reshape(-1, order="F")
     one_dual = np.zeros(dim)
     one_dual[0] = 2 ** (2 / 2)  # <1| = 2^{n/2} <P_0|
@@ -834,22 +901,20 @@ def test_nmax_env_override(monkeypatch):
 
 
 def test_cached_bases_still_check_the_size_limit(monkeypatch):
-    """The bases are built once per n, but every call checks LIOUV_NMAX."""
+    """The Majoranas are built once per n, but every call checks LIOUV_NMAX,
+    and so does the generator, which has no cache."""
     monkeypatch.delenv("LIOUV_NMAX", raising=False)
     assert oracle.majorana_ops(2) is oracle.majorana_ops(2)
-    assert oracle.fock_basis_transform(2) is oracle.fock_basis_transform(2)
     monkeypatch.setenv("LIOUV_NMAX", "1")
     with pytest.raises(TooLarge):
         oracle.majorana_ops(2)
     with pytest.raises(TooLarge):
-        oracle.fock_basis_transform(2)
+        oracle.build_superoperator(ising_pair_model())
 
 
 def test_cached_bases_are_read_only():
-    T = oracle.fock_basis_transform(2)
-    with pytest.raises(ValueError):
-        T[0, 0] = 0
     for w in oracle.majorana_ops(2).w:
         with pytest.raises(ValueError):
             w[0, 0] = 0
-    np.testing.assert_allclose(T.conj().T @ T, np.eye(16), atol=1e-14)
+    rep = oracle.majorana_ops(2)
+    np.testing.assert_array_equal(rep.w[0] @ rep.w[0], np.eye(4))
