@@ -1,16 +1,22 @@
-"""Exact linear algebra over the integers (Python bigints, no floating point).
+"""Exact linear algebra over the integers (no floating point).
 
-Only what the Jordan-structure computations need: matrix products, Bareiss
-fraction-free rank, the rank staircase of a nilpotent matrix, and the Jordan
-block sizes a nullity staircase determines (shared with the numerical Jordan
-form, whose staircase comes from SVD ranks).
+Only what the Jordan-structure computations need: matrix products and Bareiss
+fraction-free rank in Python bigints, rank over GF(p) in int64 numpy arrays,
+the rank staircase of a nilpotent matrix, and the Jordan block sizes a nullity
+staircase determines (shared with the numerical Jordan form, whose staircase
+comes from SVD ranks).
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import InternalInvariantViolated
 
 IntMatrix = list[list[int]]
+
+# 2^31 - 1 is prime, and a product of two residues below it fits in an int64
+PRIME = 2_147_483_647
 
 
 def int_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -50,6 +56,31 @@ def int_rank(mat: IntMatrix) -> int:
             elif p != prev:
                 m[i] = [p * x // prev for x in row]
         prev = p
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def mod_rank(mat: np.ndarray) -> int:
+    """Rank over GF(PRIME) of an int64 matrix, by Gaussian elimination on its
+    residues, one vectorised row update per pivot.
+
+    Every minor that vanishes over Q vanishes mod PRIME, so the result is at
+    most the rank over Q; a rank equal to the smaller dimension is the rank
+    over Q.
+    """
+    m = np.asarray(mat, dtype=np.int64) % PRIME
+    rows = m.shape[0]
+    r = 0
+    for c in range(m.shape[1]):
+        nonzero = np.flatnonzero(m[r:, c])
+        if nonzero.size == 0:
+            continue
+        piv = r + nonzero[0]
+        m[[r, piv]] = m[[piv, r]]
+        factors = m[r + 1:, c] * pow(int(m[r, c]), -1, PRIME) % PRIME
+        m[r + 1:] = (m[r + 1:] - factors[:, None] * m[r]) % PRIME
         r += 1
         if r == rows:
             break

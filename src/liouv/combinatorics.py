@@ -4,7 +4,10 @@ Everything here is integer arithmetic: restricted binomial symbols, the Jordan
 decomposition of a sum of Jordan blocks on a tensor product, the seed vectors
 of its generalized-eigenvector chains, and the Jordan structure of the
 many-body nilpotent hopping map restricted to a fixed particle number,
-verified against exact rank staircases.
+verified against exact rank staircases.  The staircase's central level
+chains are ranked over GF(p) in int64 arrays, where full rank certifies a
+bijection over Q; a chain that certificate misses gets an exact Bareiss rank
+in Python integers.
 """
 
 from __future__ import annotations
@@ -13,10 +16,15 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._intlinalg import (
+    PRIME,
     IntMatrix,
+    int_matmul,
     int_rank,
     jordan_profile,
+    mod_rank,
     nilpotent_staircase,
 )
 from .errors import IdentityViolated, TooLarge
@@ -173,41 +181,36 @@ def nilpotent_map_matrix(l: int, m: int, limit: int = DEFAULT_DIMENSION_LIMIT) -
     return mat
 
 
-def _level_hops(l: int, m: int) -> tuple[list[int], list[list[list[int]]]]:
+def _level_maps(l: int, m: int) -> tuple[list[int], list[np.ndarray]]:
     """Dimensions of the weight levels and the hop blocks B_r: level r -> r+1
-    as 0/1 matrices by rows: hops[r][i] lists the level-r states B_r sends to
-    state i of level r+1."""
+    as 0/1 int64 arrays of shape (dims[r+1], dims[r])."""
     states = _subset_states(l, m)
     rmax = m * (l - m)
     level_states: list[list[tuple[int, ...]]] = [[] for _ in range(rmax + 1)]
     for nu in states:
         level_states[weight(nu)].append(nu)
     dims = [len(s) for s in level_states]
-    hops = []
+    blocks = []
     for r in range(rmax):
         idx = {nu: i for i, nu in enumerate(level_states[r + 1])}
-        rows: list[list[int]] = [[] for _ in range(dims[r + 1])]
+        rows, cols = [], []
         for col, nu in enumerate(level_states[r]):
             for k in range(l - 1):
                 if nu[k] == 1 and nu[k + 1] == 0:
                     hopped = list(nu)
                     hopped[k], hopped[k + 1] = 0, 1
-                    rows[idx[tuple(hopped)]].append(col)
-        hops.append(rows)
-    return dims, hops
+                    rows.append(idx[tuple(hopped)])
+                    cols.append(col)
+        block = np.zeros((dims[r + 1], dims[r]), dtype=np.int64)
+        block[rows, cols] = 1
+        blocks.append(block)
+    return dims, blocks
 
 
 def _level_matrices(l: int, m: int) -> tuple[list[int], list[IntMatrix]]:
-    """Dimensions of the weight levels and the hop blocks B_r as dense matrices."""
-    dims, hops = _level_hops(l, m)
-    blocks = []
-    for r, rows in enumerate(hops):
-        b = [[0] * dims[r] for _ in rows]
-        for row, cols in zip(b, rows):
-            for col in cols:
-                row[col] = 1
-        blocks.append(b)
-    return dims, blocks
+    """Dimensions of the weight levels and the hop blocks B_r as exact matrices."""
+    dims, blocks = _level_maps(l, m)
+    return dims, [b.tolist() for b in blocks]
 
 
 @dataclass(frozen=True)
@@ -233,6 +236,21 @@ def conjectured_blocks(l: int, m: int) -> JordanBlockMultiset:
     return JordanBlockMultiset(tuple(sorted(blocks, reverse=True)))
 
 
+def _central_chains_mod_p(dims: list[int], blocks: list[np.ndarray]):
+    """Yield (r, P_{r,w-2r} mod PRIME) for the central chains r < w/2, from the
+    middle outwards: P_{r,w-2r} = B_{w-r-1} P_{r+1,w-2r-2} B_r, reduced after
+    every product.  A 0/1 block has at most l - 1 ones per row and column, so
+    no product of it with residues overflows an int64."""
+    w = len(blocks)
+    h = w // 2
+    chain = blocks[h] if w % 2 else np.eye(dims[h], dtype=np.int64)  # P_{h,w-2h}
+    if w % 2:
+        yield h, chain
+    for r in range(h - 1, -1, -1):
+        chain = (blocks[w - r - 1] @ chain) % PRIME @ blocks[r] % PRIME
+        yield r, chain
+
+
 def nilpotent_blocks(l: int, m: int, limit: int = DEFAULT_DIMENSION_LIMIT) -> NilpotentBlocksReport:
     """Ground-truth Jordan blocks of the m-particle hopping map.
 
@@ -240,30 +258,30 @@ def nilpotent_blocks(l: int, m: int, limit: int = DEFAULT_DIMENSION_LIMIT) -> Ni
     strictly weight-graded, so rank(M^p) is the sum over r of the ranks of the
     chains P_{r,p} = B_{r+p-1} ... B_r from level r to level r+p.  Only the
     central chains, from a level r < w/2 to its mirror level w-r (w = m(l-m)),
-    get an exact Bareiss rank.  A prefix of an injective chain is injective
-    and a suffix of a surjective one is surjective, so every other chain has
-    rank dims[r] or dims[r+p] when the central chains are bijective; any chain
-    that argument leaves open gets a Bareiss rank too.
+    are ranked: over GF(p) first, where full rank certifies a bijection over
+    Q, and by Bareiss on the exact chain where it does not.  A prefix of an
+    injective chain is injective and a suffix of a surjective one is
+    surjective, so every other chain has rank dims[r] or dims[r+p] when the
+    central chains are bijective; any chain that argument leaves open gets a
+    Bareiss rank too.
     """
     dim = math.comb(l, m)
     if dim > limit:
         raise TooLarge(f"sector dimension C({l},{m}) = {dim} exceeds limit {limit}")
-    dims, hops = _level_hops(l, m)
+    dims, blocks = _level_maps(l, m)
     w = m * (l - m)
-    # powers[r][p] = P_{r,p}, built on demand from the identity P_{r,0}
-    powers = [[[[int(i == j) for j in range(k)] for i in range(k)]] for k in dims[:w]]
+    # powers[r][p] = P_{r,p} exactly, built on demand from the identity P_{r,0}
+    powers: dict[int, list[IntMatrix]] = {}
 
     def chain(r: int, p: int) -> IntMatrix:
-        path = powers[r]
-        zero = [0] * dims[r]
+        k = dims[r]
+        path = powers.setdefault(r, [[[int(i == j) for j in range(k)] for i in range(k)]])
         while len(path) <= p:
-            last = path[-1]
-            # row i of B P is the exact sum of the rows of P that the 0/1 map B selects
-            path.append([list(map(sum, zip(*(last[k] for k in sel)))) if sel else zero
-                         for sel in hops[r + len(path) - 1]])
+            path.append(int_matmul(blocks[r + len(path) - 1].tolist(), path[-1]))
         return path[p]
 
-    central = {r: int_rank(chain(r, w - 2 * r)) for r in range((w + 1) // 2)}
+    central = {r: dims[r] if mod_rank(mod_chain) == dims[r] else int_rank(chain(r, w - 2 * r))
+               for r, mod_chain in _central_chains_mod_p(dims, blocks)}
     ranks = []
     for p in range(1, w + 2):
         total = 0

@@ -6,13 +6,15 @@ P_alpha = 2^{-n/2} w_1^a1 ... w_2n^a2n, scattered from K and the Lindblad
 vectors alone (left and right multiplication by a Majorana is a signed
 permutation of that basis), the Majorana maps of the operator Fock space as
 signed permutations, and the comparisons that pin the fast path: the
-quadratic-form identity per parity sector, spectrum multisets, and
-steady-state correlators.  Every check takes the generator it checks, built
-once by `build_superoperator`.  In the Hermitian basis the generator is real
-and splits into two parity blocks, whose SVDs give the kernel; each block is
-triangular in the Majorana degree, so the spectrum comes from its 2n+1
-diagonal degree blocks.  The Majorana matrices are built once per n and kept
-read-only.
+quadratic-form identity per parity sector (the form scattered one sector
+block at a time), spectrum multisets, and steady-state correlators.  Every
+check takes the generator it checks, built once by `build_superoperator`.  In
+the Hermitian basis the generator is real and splits into two parity blocks,
+whose SVDs give the kernel; each block is triangular in the Majorana degree,
+so the spectrum comes from its 2n+1 diagonal degree blocks.  A multiset
+matching takes the nearest elements when no two share one, and imports
+scipy's assignment solver only when they do.  The Majorana matrices are
+built once per n and kept read-only.
 """
 
 from __future__ import annotations
@@ -193,23 +195,30 @@ def fock_majoranas(n: int) -> tuple[np.ndarray, np.ndarray]:
     return flips, values
 
 
-def quadratic_form_matrix(sm_A: np.ndarray, A0: float, n: int) -> np.ndarray:
-    """sum_pq A_pq a_p a_q - A_0 on the P_alpha basis.
+def quadratic_form_matrix(sm_A: np.ndarray, A0: float, n: int, even: bool) -> np.ndarray:
+    """sum_pq A_pq a_p a_q - A_0 on the P_alpha basis of the even (or odd)
+    parity sector, the sector's block in order of alpha.
 
-    Scattered from `fock_majoranas` in O((4n)^2 4^n): column col of
-    sum_q A_pq a_q has the entry A_pj a_j + A_p,j+2n a_{j+2n} at row
-    col ^ flips[j], and a_p moves it to row col ^ flips[j] ^ flips[p].  The
-    arithmetic is that of the dense loop -A_0 + sum_p a_p @ (sum_q A_pq a_q)
-    in the same order, so the result equals it bit for bit.
+    Each a_p flips one bit of alpha, so the form keeps the parity and is the
+    direct sum of its two sector blocks.  Scattered from `fock_majoranas` in
+    O((4n)^2 4^n): column col of sum_q A_pq a_q has the entry
+    A_pj a_j + A_p,j+2n a_{j+2n} at row col ^ flips[j], and a_p moves it to
+    row col ^ flips[j] ^ flips[p].  The arithmetic is that of the dense loop
+    -A_0 + sum_p a_p @ (sum_q A_pq a_q) in the same order, so the block equals
+    the dense loop's bit for bit.
     """
     flips, values = fock_majoranas(n)
     d = 2 * n
-    cols = np.arange(4**n)
+    sector = fock_parity_even(n) == even
+    cols = np.flatnonzero(sector)
+    local = np.cumsum(sector) - 1  # position of each sector alpha in the block
+    col_values = values[:, cols]
     mid = cols ^ flips[:d, None]
-    out = -A0 * np.eye(4**n, dtype=complex)
+    out = -A0 * np.eye(len(cols), dtype=complex)
+    block_cols = np.arange(len(cols))
     for p in range(2 * d):
-        combo = sm_A[p, :d, None] * values[:d] + sm_A[p, d:, None] * values[d:]
-        out[mid ^ flips[p], cols] += values[p][mid] * combo
+        combo = sm_A[p, :d, None] * col_values[:d] + sm_A[p, d:, None] * col_values[d:]
+        out[local[mid ^ flips[p]], block_cols] += values[p][mid] * combo
     return out
 
 
@@ -280,17 +289,23 @@ def verify_quadratic_form(sup: Superoperator, structure: StructureMatrix) -> Qua
     phase = hermitian_phases(n)
     degree = fock_degree(n)
     scale = max(float(np.abs(sup.matrix).max()), 1.0)
-    sectors = []
-    for sector, A, step in ((even, structure.A, 2),
-                            (~even, odd_sector_structure_matrix(structure), -2)):
+
+    def check_sector(is_even, A, step):
+        """(residual, imaginary, leak, real block) of one sector; its
+        sector-sized temporaries are freed before the next sector's."""
+        sector = even == is_even
         block = sup.matrix[np.ix_(sector, sector)]
-        form = quadratic_form_matrix(A, structure.A0, n)[np.ix_(sector, sector)]
+        residual = float(np.abs(block - quadratic_form_matrix(A, structure.A0, n, is_even)).max())
         herm = block * np.outer(phase[sector].conj(), phase[sector])
         real = np.ascontiguousarray(herm.real)
         forbidden = real[_forbidden_couplings(degree[sector], step)]
-        sectors.append((float(np.abs(block - form).max()), float(np.abs(herm.imag).max()) / scale,
-                        float(np.abs(forbidden).max(initial=0.0)) / scale, real))
-    residual, imaginary, leak, real = zip(*sectors)
+        return (residual, float(np.abs(herm.imag).max()) / scale,
+                float(np.abs(forbidden).max(initial=0.0)) / scale, real)
+
+    residual, imaginary, leak, real = zip(
+        check_sector(True, structure.A, 2),
+        check_sector(False, odd_sector_structure_matrix(structure), -2),
+    )
     return QuadraticFormReport(n, *residual, max(imaginary), max(leak), *real)
 
 
@@ -386,13 +401,24 @@ class MultisetMatch:
 
 
 def match_multisets(a: np.ndarray, b: np.ndarray) -> MultisetMatch:
-    """Minimal-weight perfect matching of two multisets of complex numbers."""
-    from scipy.optimize import linear_sum_assignment
+    """Minimal-weight perfect matching of two multisets of complex numbers.
 
+    When the nearest element of b to each element of a (the first one on a
+    tie) is a different one for every element, that choice is the matching:
+    it puts every pair at its row minimum, so it is optimal, and it is the
+    only optimum, since moving a cycle of pairs to other row minima would
+    need each of them to move to a later column.  Only a contested nearest
+    choice needs scipy's assignment solver, imported then.
+    """
     if len(a) != len(b):
         raise ValueError(f"multiset sizes differ: {len(a)} vs {len(b)}")
     cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
+    rows = np.arange(len(a))
+    cols = cost.argmin(axis=1) if len(a) else rows
+    if np.unique(cols).size < len(cols):
+        from scipy.optimize import linear_sum_assignment
+
+        rows, cols = linear_sum_assignment(cost)
     return MultisetMatch(b[cols], cost[rows, cols])
 
 

@@ -137,8 +137,8 @@ class FockMaps:
 
 def build_fock_maps(n):
     """The maps as dense 4^n x 4^n matrices, one basis tuple at a time: the
-    reference `oracle.fock_majoranas` and `oracle.quadratic_form_matrix` are
-    checked against."""
+    reference `oracle.fock_majoranas` and the sector blocks of
+    `oracle.quadratic_form_matrix` are checked against."""
     d = 2 * n
     dim = 4**n
     alphas = [tuple((idx >> j) & 1 for j in range(d)) for idx in range(dim)]
@@ -176,6 +176,20 @@ def dense_quadratic_form(sm_A, A0, maps):
             if sm_A[p, q] != 0:
                 combo += sm_A[p, q] * aq
         out += ap @ combo
+    return out
+
+
+def full_quadratic_form(sm_A, A0, n):
+    """sum_pq A_pq a_p a_q - A_0 on the whole operator space, the direct sum
+    of the two sector blocks of `oracle.quadratic_form_matrix` (the form keeps
+    the parity)."""
+    from liouv import oracle
+
+    even = oracle.fock_parity_even(n)
+    out = np.zeros((4**n, 4**n), dtype=complex)
+    for is_even in (True, False):
+        sector = even == is_even
+        out[np.ix_(sector, sector)] = oracle.quadratic_form_matrix(sm_A, A0, n, is_even)
     return out
 
 

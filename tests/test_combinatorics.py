@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liouv._intlinalg import int_matmul, int_rank, jordan_profile, nilpotent_staircase
+from liouv._intlinalg import (
+    PRIME,
+    int_matmul,
+    int_rank,
+    jordan_profile,
+    mod_rank,
+    nilpotent_staircase,
+)
 from liouv.combinatorics import (
     JordanBlockMultiset,
     _level_matrices,
@@ -281,8 +288,27 @@ def test_nilpotent_blocks_match_all_bareiss_reference(l):
 
 @pytest.mark.parametrize("l,m", [(6, 3), (7, 3), (8, 4)])
 def test_nilpotent_blocks_without_central_ranks_falls_back_to_bareiss(monkeypatch, l, m):
-    """If no central chain is certified bijective, every chain gets its own
-    Bareiss rank and the staircase is still exact."""
+    """If the GF(p) certificate fails for every central chain, each central
+    chain gets an exact Bareiss rank and the staircase is unchanged."""
+    import liouv.combinatorics as combinatorics
+
+    central = (m * (l - m) + 1) // 2
+    calls = []
+
+    def counted(mat):
+        calls.append(len(mat))
+        return int_rank(mat)
+
+    monkeypatch.setattr(combinatorics, "mod_rank", lambda mat: -1)
+    monkeypatch.setattr(combinatorics, "int_rank", counted)
+    assert nilpotent_blocks(l, m).staircase == _bareiss_staircase(l, m)
+    assert len(calls) == central
+
+
+@pytest.mark.parametrize("l,m", [(6, 3), (7, 3), (8, 4)])
+def test_nilpotent_blocks_without_any_central_rank_ranks_every_chain(monkeypatch, l, m):
+    """If neither GF(p) nor Bareiss certifies a central chain bijective,
+    every chain gets its own Bareiss rank and the staircase is still exact."""
     import liouv.combinatorics as combinatorics
 
     central = (m * (l - m) + 1) // 2
@@ -292,9 +318,27 @@ def test_nilpotent_blocks_without_central_ranks_falls_back_to_bareiss(monkeypatc
         calls.append(len(mat))
         return -1 if len(calls) <= central else int_rank(mat)
 
+    monkeypatch.setattr(combinatorics, "mod_rank", lambda mat: -1)
     monkeypatch.setattr(combinatorics, "int_rank", uncertified)
     assert nilpotent_blocks(l, m).staircase == _bareiss_staircase(l, m)
     assert len(calls) > central
+
+
+@pytest.mark.parametrize("l,m", [(6, 3), (7, 3), (8, 4), (12, 6)])
+def test_nilpotent_blocks_certified_over_gf_p_need_no_bareiss(monkeypatch, l, m):
+    import liouv.combinatorics as combinatorics
+
+    def refuse(mat):
+        raise AssertionError("Bareiss rank of a certified chain")
+
+    monkeypatch.setattr(combinatorics, "int_rank", refuse)
+    assert nilpotent_blocks(l, m).agree
+
+
+def test_mod_rank_drops_below_bareiss_on_a_multiple_of_the_prime():
+    """rank_p can fall below the rank over Q; Bareiss then decides."""
+    assert mod_rank(np.array([[PRIME, 0], [0, 1]])) == 1
+    assert int_rank([[PRIME, 0], [0, 1]]) == 2
 
 
 def test_conjectured_blocks_drop_zero_counts():
@@ -390,3 +434,35 @@ def test_int_rank_matches_entrywise_bareiss_on_level_maps(l):
             for s in range(r, w - r):
                 chain = int_matmul(blocks[s], chain)
             assert int_rank(chain) == _int_rank_reference(chain) == dims[r], (l, m, r)
+
+
+_SMALL_ENTRIES = st.integers(-3, 3)
+
+
+@st.composite
+def _small_int_matrices(draw):
+    """Dense or rank-deficient (a product through k <= min(rows, cols))
+    integer matrices with small entries."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        mat = [[draw(_SMALL_ENTRIES) for _ in range(cols)] for _ in range(rows)]
+    else:
+        k = draw(st.integers(0, min(rows, cols)))
+        a = np.array([[draw(_SMALL_ENTRIES) for _ in range(k)] for _ in range(rows)])
+        b = np.array([[draw(_SMALL_ENTRIES) for _ in range(cols)] for _ in range(k)])
+        mat = a.reshape(rows, k) @ b.reshape(k, cols)
+    return np.array(mat, dtype=np.int64).reshape(rows, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_int_matrices())
+def test_mod_rank_matches_bareiss(mat):
+    """rank_p <= rank_Q always; they are equal when no minor can be a nonzero
+    multiple of p, which Hadamard's bound (the product of the row norms, each
+    at least 1) shows below p."""
+    rank_p = mod_rank(mat)
+    mat = mat.tolist()
+    rank_q = int_rank(mat)
+    assert rank_p <= rank_q
+    if math.prod(max(1.0, math.hypot(*row)) for row in mat) < PRIME:
+        assert rank_p == rank_q

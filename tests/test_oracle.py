@@ -1,10 +1,13 @@
 import dataclasses
 import math
 import re
+import subprocess
+import sys
 from importlib.resources import files
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liouv import analyze, oracle
 from liouv.errors import TooLarge
@@ -32,6 +35,7 @@ from conftest import (
     critical_plus_decoupled,
     dense_quadratic_form,
     fock_basis_transform,
+    full_quadratic_form,
     hamiltonian_matrix,
     ising_pair_model,
     kron_superoperator,
@@ -120,19 +124,26 @@ def test_fock_majoranas_match_dense_reference(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_quadratic_form_matrix_matches_dense_loop(n):
     """The scatter performs the dense loop's floating-point operations in the
-    same order: equal bit for bit, on random and axis models, with the
-    even-sector and the driving-flipped structure matrix."""
+    same order: each sector block equals the dense loop's bit for bit, on
+    random and axis models, with the even-sector and the driving-flipped
+    structure matrix; the dense loop has no entry between the sectors."""
     from liouv.model import odd_sector_structure_matrix
 
     maps = build_fock_maps(n)
+    even = oracle.fock_parity_even(n)
     for seed in range(3):
         for m in (random_model(n, seed), random_axis_model(n, seed, 1 + seed % (2 * n - 1))):
             sm = build_structure_matrix(m, build_bath_matrices(m))
             for A in (sm.A, odd_sector_structure_matrix(sm)):
-                np.testing.assert_array_equal(
-                    oracle.quadratic_form_matrix(A, sm.A0, n),
-                    dense_quadratic_form(A, sm.A0, maps),
-                )
+                dense = dense_quadratic_form(A, sm.A0, maps)
+                for is_even in (True, False):
+                    sector = even == is_even
+                    np.testing.assert_array_equal(
+                        oracle.quadratic_form_matrix(A, sm.A0, n, is_even),
+                        dense[np.ix_(sector, sector)],
+                    )
+                assert not dense[np.ix_(even, ~even)].any()
+                assert not dense[np.ix_(~even, even)].any()
 
 
 def test_fock_basis_transform_unitary():
@@ -410,7 +421,7 @@ def test_single_structure_matrix_fails_on_odd_sector():
     bath = build_bath_matrices(m)
     sm = build_structure_matrix(m, bath)
     sup = oracle.build_superoperator(m)
-    form = oracle.quadratic_form_matrix(sm.A, sm.A0, 1)
+    form = full_quadratic_form(sm.A, sm.A0, 1)
     assert np.abs(sup.matrix - form).max() > 1.0
 
 
@@ -662,6 +673,88 @@ def test_spectrum_multiset_fixtures():
         assert dev < 1e-7
 
 
+# a few exact values (duplicates, and ties at equal distance) and any small
+# complex number; b is a, permuted and nudged by nothing, a near-tie offset or
+# an O(1) step
+_GRID = st.sampled_from([0, 1, -1, 1j, -1j, 1 + 1j, 0.5])
+_VALUES = st.one_of(_GRID, st.complex_numbers(max_magnitude=3, allow_nan=False))
+_NUDGES = st.sampled_from([0, 1e-15, -1e-12j, 1e-9, 0.5, 0.5j, -1])
+
+
+@st.composite
+def _multiset_pairs(draw):
+    size = draw(st.integers(0, 8))
+    a = np.array(draw(st.lists(_VALUES, min_size=size, max_size=size)), dtype=complex)
+    nudges = np.array(draw(st.lists(_NUDGES, min_size=size, max_size=size)), dtype=complex)
+    b = draw(st.permutations(list(a + nudges))) if size else []
+    return a, np.array(b, dtype=complex)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_multiset_pairs())
+def test_match_multisets_equals_the_assignment_solver(pair):
+    """The matching costs what linear_sum_assignment's optimum costs; where
+    every nearest element is a different one, the matched values and the
+    distances are the solver's, pair for pair."""
+    from scipy.optimize import linear_sum_assignment
+
+    a, b = pair
+    match = oracle.match_multisets(a, b)
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    np.testing.assert_array_equal(np.sort_complex(match.matched), np.sort_complex(b))
+    assert match.deviations.sum() == cost[rows, cols].sum()
+    if len(a) and np.unique(cost.argmin(axis=1)).size == len(a):
+        np.testing.assert_array_equal(match.matched, b[cols])
+        np.testing.assert_array_equal(match.deviations, cost[rows, cols])
+
+
+def test_match_multisets_uses_the_solver_only_when_contested(monkeypatch):
+    import scipy.optimize
+
+    calls = []
+    solver = scipy.optimize.linear_sum_assignment
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment",
+                        lambda cost: calls.append(cost.shape) or solver(cost))
+    a = np.array([0, 1, 2j])
+    match = oracle.match_multisets(a, np.array([2.1j, 0.1, 1.1]))
+    np.testing.assert_array_equal(match.matched, [0.1, 1.1, 2.1j])
+    assert calls == []
+    # both 0 and 0.4 lie nearest to 0.3: contested
+    match = oracle.match_multisets(np.array([0, 0.4]), np.array([0.3, -0.5]))
+    np.testing.assert_array_equal(match.matched, [-0.5, 0.3])
+    assert calls == [(2, 2)]
+
+
+def test_fresh_verify_does_not_load_scipy_optimize():
+    """No degree block of a random n = 4 model is contested, so the solver
+    is never imported."""
+    code = (
+        "import sys\n"
+        "from liouv.cli import main\n"
+        "assert main(['verify', '--random', '--n', '4', '--seed', '1']) == 0\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-2:] == ["PASS", "False"]
+
+
+def test_ising_pair_passes_through_the_solver(monkeypatch, capsys):
+    """The degenerate Ising pair has contested degree blocks."""
+    import scipy.optimize
+
+    from liouv.cli import main
+
+    calls = []
+    solver = scipy.optimize.linear_sum_assignment
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment",
+                        lambda cost: calls.append(cost.shape) or solver(cost))
+    assert main(["verify", str(files("liouv") / "models" / "ising_pair.json")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+    assert calls
+
+
 def _spectrum_check(model, dense=None):
     result = analyze(model)
     if dense is None:
@@ -753,7 +846,7 @@ def test_zero_mode_descriptor_realizes_dense_kernel_direction():
     trace_dual[0] = 2.0
 
     # the even-sector form annihilates its own descriptor as a matrix identity
-    F_even = oracle.quadratic_form_matrix(sm.A, sm.A0, 2)
+    F_even = full_quadratic_form(sm.A, sm.A0, 2)
     b_ops = [sum(nmb.V[i, p] * maps.a[p] for p in range(8)) for i in range(8)]
     vac_even = _form_vacuum(F_even, parity, trace_dual)
     dir_form = b_ops[4 + zero_row] @ vac_even
@@ -764,7 +857,7 @@ def test_zero_mode_descriptor_realizes_dense_kernel_direction():
     D = np.kron(np.diag([1.0, -1.0]), np.eye(4))
     V_odd = nmb.V @ D
     b_odd = [sum(V_odd[i, p] * maps.a[p] for p in range(8)) for i in range(8)]
-    F_odd = oracle.quadratic_form_matrix(odd_sector_structure_matrix(sm), sm.A0, 2)
+    F_odd = full_quadratic_form(odd_sector_structure_matrix(sm), sm.A0, 2)
     vac_odd = _form_vacuum(F_odd, parity, trace_dual)
     dir_true = b_odd[4 + zero_row] @ vac_odd
     assert np.linalg.norm(dir_true) > 1e-3
@@ -806,7 +899,7 @@ def test_imaginary_pair_combination_is_stationary_trace_zero():
     trace_dual[0] = 2**1.5
     half = 6
 
-    F_even = oracle.quadratic_form_matrix(sm.A, sm.A0, 3)
+    F_even = full_quadratic_form(sm.A, sm.A0, 3)
     vac = _form_vacuum(F_even, parity, trace_dual)
     rows = {b.j: b.chain_start for b in jf.blocks}
     b_ops = [sum(nmb.V[i, p] * maps.a[p] for p in range(12)) for i in range(12)]
@@ -880,7 +973,7 @@ def test_normal_form_matrix_identity():
         dim = 4**m.n
         b_ops = [sum(nmb.V[i, p] * maps.a[p] for p in range(n4)) for i in range(n4)]
         half = jf.dim
-        form = oracle.quadratic_form_matrix(sm.A, sm.A0, m.n)
+        form = full_quadratic_form(sm.A, sm.A0, m.n)
         normal = np.zeros((dim, dim), dtype=complex)
         for blk in jf.blocks:
             for l in range(blk.size):
