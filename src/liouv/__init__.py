@@ -9,7 +9,14 @@ Jordan-block bounds, NESS classification and steady-state covariance follow.
 A dense brute-force oracle cross-checks everything at small fermion number.
 """
 
-from .analysis import AnalysisResult, analyze, build_report, dumps_report, render_text
+from .analysis import (
+    AnalysisResult,
+    analyze,
+    build_report,
+    dumps_report,
+    render_text,
+    write_report,
+)
 from .combinatorics import (
     JordanBlockMultiset,
     nilpotent_blocks,
@@ -105,4 +112,5 @@ __all__ = [
     "tilde_unitary",
     "validate_model",
     "verify_conjecture",
+    "write_report",
 ]

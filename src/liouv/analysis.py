@@ -3,15 +3,15 @@
 `analyze` returns the rich result objects; `build_report` flattens them into a
 JSON-native dict (complex numbers as [re, im] pairs, deterministic orderings)
 that round-trips through serialization unchanged; `dumps_report` writes it as
-`json.dumps(report, indent=2)` does; `render_text` produces the human-readable
-table view.
+`json.dumps(report, indent=2)` does, and `write_report` streams the same text to
+a file; `render_text` produces the human-readable table view.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _jstr
 
 import numpy as np
@@ -260,14 +260,16 @@ def _template(values, nl: str):
 
     None unless the values share one shape, with every leaf column of one
     exact type: finite float, int, bool, str or None.  Anything else (NaN,
-    np.float64, True among ints, ragged lists) is left to `_encode`.
+    np.float64, True among ints, ragged lists) is left to `_encode`.  A float
+    column is the only column whose items are floats; it is filled by `%s`
+    from `_float_reprs`.
     """
     kinds = set(map(type, values))
     if len(kinds) != 1:
         return None
     kind = kinds.pop()
     if kind is float:
-        return ("%r", [values]) if all(map(math.isfinite, values)) else None
+        return ("%s", [values]) if all(map(math.isfinite, values)) else None
     if kind is int:
         return "%d", [values]
     if kind is bool:
@@ -302,49 +304,99 @@ def _template(values, nl: str):
     return brackets[0] + inner + body + nl + brackets[1], [c for _, cs in fields for c in cs]
 
 
-def _encode(o, nl: str) -> str:
-    """json's indent-2 text of `o`, whose first line sits at indent `nl`."""
+_MAGNITUDE_BITS = np.int64(2**63 - 1)  # every bit of a float64 but its sign
+
+
+def _float_reprs(columns: list) -> list:
+    """`float.__repr__` of every float of the equal-length `columns` of finite
+    floats, as lists of strings shaped like `columns`.
+
+    The spectrum's coordinates are sums of a few rapidities, and matrices are
+    symmetric or antisymmetric, so magnitudes repeat: repr runs once per
+    distinct magnitude (bit pattern with the sign cleared), and a negative
+    float, -0.0 included, is '-' + the repr of its magnitude.
+    """
+    bits = np.array(columns, dtype=float).view(np.int64)
+    negative = bits < 0
+    magnitudes, index = np.unique(bits & _MAGNITUDE_BITS, return_inverse=True)
+    reprs = list(map(float.__repr__, magnitudes.view(float).tolist()))
+    table = np.array(reprs + ["-" + r for r in reprs], dtype=object)
+    index = index.reshape(bits.shape)
+    index[negative] += len(reprs)
+    return table[index].tolist()
+
+
+def _encode(o, nl: str, out: list) -> None:
+    """Append json's indent-2 text of `o`, whose first line sits at indent
+    `nl`, to `out` in pieces."""
     if isinstance(o, str):
-        return _jstr(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
+        out.append(_jstr(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
         if math.isfinite(o):
-            return float.__repr__(o)
-        return "NaN" if o != o else ("Infinity" if o > 0 else "-Infinity")
-    inner = nl + "  "
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        fast = _template(o, inner)
-        if fast is None or not fast[1]:
-            items = [_encode(v, inner) for v in o]
-        elif fast[0] == "%r":
-            items = map(float.__repr__, o)
+            out.append(float.__repr__(o))
         else:
-            items = map(fast[0].__mod__, zip(*fast[1]))
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    if isinstance(o, dict):
+            out.append("NaN" if o != o else ("Infinity" if o > 0 else "-Infinity"))
+    elif isinstance(o, (list, tuple)):
         if not o:
-            return "{}"
-        return "{" + inner + ("," + inner).join(
-            _key(k) + ": " + _encode(v, inner) for k, v in o.items()
-        ) + nl + "}"
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        fast = _template(o, inner)
+        out.append("[" + inner)
+        if fast is None or not fast[1]:
+            for i, v in enumerate(o):
+                if i:
+                    out.append(sep)
+                _encode(v, inner, out)
+        else:
+            template, columns = fast
+            floats = [i for i, c in enumerate(columns) if type(c[0]) is float]
+            if floats:
+                for i, reprs in zip(floats, _float_reprs([columns[i] for i in floats])):
+                    columns[i] = reprs
+            if template == "%s":
+                out.append(sep.join(columns[0]))
+            else:
+                out.append(sep.join(map(template.__mod__, zip(*columns))))
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        out.append("{" + inner)
+        for i, (k, v) in enumerate(o.items()):
+            out.append((sep if i else "") + _key(k) + ": ")
+            _encode(v, inner, out)
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _key(k) -> str:
     if isinstance(k, str):
         return _jstr(k)
     if k is None or isinstance(k, (int, float)):
-        return _jstr(_encode(k, ""))
+        out = []
+        _encode(k, "", out)
+        return _jstr(out[0])
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _report_pieces(report) -> list:
+    out = []
+    _encode(report, "\n", out)
+    return out
 
 
 def dumps_report(report) -> str:
@@ -353,10 +405,21 @@ def dumps_report(report) -> str:
     With `indent`, json falls back to its pure-Python encoder, one generator
     step per value.  Here every list whose items share one shape (float runs,
     matrix rows, [re, im] pairs, spectrum records) is written by one
-    %-template per item, built once from the shape; the rest follows json's
-    own rules.
+    %-template per item, built once from the shape; the floats of its float
+    columns go through one repr table, one `float.__repr__` per distinct
+    magnitude.  The rest follows json's own rules.
     """
-    return _encode(report, "\n")
+    return "".join(_report_pieces(report))
+
+
+def write_report(report, fh) -> None:
+    """Write `dumps_report(report)` and a newline to the text stream `fh` with
+    one `writelines` of the encoded pieces, so the report as a whole is never
+    joined into one string.  The whole report is encoded before the first
+    write: an encoding error writes nothing."""
+    pieces = _report_pieces(report)
+    pieces.append("\n")
+    fh.writelines(pieces)
 
 
 def _fmt_c(pair) -> str:
@@ -422,18 +485,22 @@ def render_text(report: dict) -> str:
         out.append(f"Liouvillean spectrum: {sp['count']} occupation vectors, "
                    f"total dimension {sp['total_dim']} (merged view):")
         out.append(f"  {'Re lambda':>14} {'Im lambda':>14} {'dim':>5} {'maxblk':>6}")
-        for e in sp["merged"]:
-            re, im = e["lambda"]
-            star = "*" if e["lower_bound"] else " "
-            out.append(f"  {re:>14.8g} {im:>14.8g} {e['total_dim']:>5} "
-                       f"{e['max_jordan_block']:>5}{star}")
+        out.extend(
+            "  %14.8g %14.8g %5d %5d%s" % (*e["lambda"], e["total_dim"], e["max_jordan_block"],
+                                          "*" if e["lower_bound"] else " ")
+            for e in sp["merged"]
+        )
         if "entries" in sp:
             out.append("  full listing (occupation -> lambda, dim, maxblk):")
+            rows = {}  # one template per occupation length
             for e in sp["entries"]:
-                occ = " ".join(f"({j},{k})={m}" for j, k, m in e["occupation"])
-                re, im = e["lambda"]
-                out.append(f"    {re:+.8g}{im:+.8g}i  dim {e['subspace_dim']} "
-                           f"blk {e['max_jordan_block']}  {occ}")
+                occ = e["occupation"]
+                row = rows.get(len(occ))
+                if row is None:
+                    row = rows[len(occ)] = ("    %+.8g%+.8gi  dim %d blk %d  "
+                                            + " ".join(["(%d,%d)=%d"] * len(occ)))
+                out.append(row % (*e["lambda"], e["subspace_dim"], e["max_jordan_block"],
+                                  *chain.from_iterable(occ)))
     else:
         full_re, _ = sp["extremes"]["lambda_full"]
         out.append("Liouvillean spectrum: not enumerated (occupation count over limit); "

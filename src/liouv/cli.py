@@ -22,7 +22,7 @@ import numpy as np
 
 from . import combinatorics as comb
 from . import oracle
-from .analysis import analyze, build_report, dumps_report, render_text
+from .analysis import analyze, build_report, render_text, write_report
 from .errors import InputError, InternalInvariantViolated
 from .io import load_model
 from .randmodel import random_model
@@ -54,23 +54,32 @@ def _tolerances_from_args(args, base: Tolerances) -> Tolerances:
     return dataclasses.replace(base, **overrides) if overrides else base
 
 
+class _OutputFile:
+    """The --output file, opened only for its one `writelines`: the report is
+    encoded in full before that call, so a failed encoding leaves an existing
+    file as it was."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def writelines(self, pieces):
+        try:
+            with open(self.path, "w", encoding="utf-8") as fh:
+                fh.writelines(pieces)
+        except OSError as exc:
+            raise InputError(f"--output: cannot write {self.path}: {exc.strerror}") from exc
+
+
 def cmd_analyze(args) -> int:
     model, tolerances = load_model(args.model_file)
     tolerances = _tolerances_from_args(args, tolerances)
     result = analyze(model, tolerances)
     report = build_report(result, full_spectrum=args.full_spectrum)
+    out = _OutputFile(args.output) if args.output else sys.stdout
     if args.format == "json":
-        text = dumps_report(report) + "\n"
+        write_report(report, out)
     else:
-        text = render_text(report)
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InputError(f"--output: cannot write {args.output}: {exc.strerror}") from exc
-    else:
-        sys.stdout.write(text)
+        out.writelines([render_text(report)])
     return 0
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,9 @@ import numpy as np
 from .errors import ParseError
 from .model import QuadraticLindbladModel, validate_model
 from .tolerances import Tolerances
+
+
+_NUMBER_TYPES = {int, float}
 
 
 def _is_number(v) -> bool:
@@ -47,25 +51,18 @@ def parse_model_dict(doc: dict) -> tuple[QuadraticLindbladModel, Tolerances]:
     if (not isinstance(K, list) or len(K) != 2 * n
             or any(not isinstance(row, list) or len(row) != 2 * n for row in K)):
         raise ParseError(f"field 'K': expected a {2*n}x{2*n} array of reals")
-    for i, row in enumerate(K):
-        for j, v in enumerate(row):
-            if not _is_number(v):
-                raise ParseError(f"field 'K[{i}][{j}]': expected a real number, got {v!r}")
+    if not set(map(type, chain.from_iterable(K))) <= _NUMBER_TYPES:
+        for i, row in enumerate(K):
+            for j, v in enumerate(row):
+                if not _is_number(v):
+                    raise ParseError(f"field 'K[{i}][{j}]': expected a real number, got {v!r}")
     try:
         K_arr = np.array(K, dtype=float)
     except OverflowError as exc:
         raise ParseError(f"field 'K': entry out of floating-point range ({exc})") from exc
     if not isinstance(doc["lindblad"], list):
         raise ParseError("field 'lindblad': expected a list of coupling vectors")
-    vectors = []
-    for mu, vec in enumerate(doc["lindblad"]):
-        if not isinstance(vec, list) or len(vec) != 2 * n:
-            raise ParseError(
-                f"field 'lindblad[{mu}]': expected a vector of length {2*n}"
-            )
-        vectors.append(
-            np.array([_entry_to_complex(v, mu, i) for i, v in enumerate(vec)])
-        )
+    vectors = _lindblad_vectors(doc["lindblad"], 2 * n)
     tol_kwargs = {}
     tol_doc = doc.get("tolerances", {})
     if not isinstance(tol_doc, dict):
@@ -77,6 +74,35 @@ def parse_model_dict(doc: dict) -> tuple[QuadraticLindbladModel, Tolerances]:
         tol_kwargs[key] = value
     tolerances = Tolerances(**tol_kwargs)
     return validate_model(n, K_arr, vectors), tolerances
+
+
+def _lindblad_vectors(lindblad: list, d: int) -> list:
+    """The coupling vectors as complex arrays of length `d`.
+
+    When every entry is an [re, im] pair of ints or floats, one float array
+    viewed as complex.  Bare reals, out-of-range ints and anything malformed
+    take the per-entry loop, which names the offending field.
+    """
+    if set(map(type, lindblad)) <= {list} and set(map(len, lindblad)) <= {d}:
+        entries = list(chain.from_iterable(lindblad))
+        if (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}
+                and set(map(type, chain.from_iterable(entries))) <= _NUMBER_TYPES):
+            try:
+                pairs = np.array(lindblad, dtype=float).reshape(len(lindblad), d, 2)
+            except OverflowError:
+                pass
+            else:
+                return list(pairs.view(complex)[..., 0])
+    vectors = []
+    for mu, vec in enumerate(lindblad):
+        if not isinstance(vec, list) or len(vec) != d:
+            raise ParseError(
+                f"field 'lindblad[{mu}]': expected a vector of length {d}"
+            )
+        vectors.append(
+            np.array([_entry_to_complex(v, mu, i) for i, v in enumerate(vec)])
+        )
+    return vectors
 
 
 def load_model(path: str | Path) -> tuple[QuadraticLindbladModel, Tolerances]:

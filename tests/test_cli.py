@@ -1,4 +1,7 @@
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
 import math
 import os
@@ -6,6 +9,7 @@ import re
 import subprocess
 import sys
 from importlib.resources import files
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import liouv.cli
 import liouv.lyapunov
 import liouv.oracle
-from liouv.analysis import analyze, build_report, dumps_report
+from liouv.analysis import analyze, build_report, dumps_report, render_text, write_report
 from liouv.cli import main
 from liouv.io import load_model, model_to_dict, parse_model_dict
 from liouv.errors import ParseError
@@ -328,23 +332,40 @@ def test_verify_fails_when_the_pipeline_bath_matrix_is_shifted(monkeypatch, caps
     assert out.splitlines()[-1] == "FAIL"
 
 
-@pytest.mark.parametrize("unbuffered", [True, False], ids=["at_a_print", "at_the_final_flush"])
-def test_closed_stdout_pipe_exits_without_a_traceback(unbuffered):
-    """A reader that closed the pipe, as `liouv verify ... | head -n 1` does,
-    makes the write fail at a print (unbuffered) or at the flush before exit
-    (block-buffered); either way the exit code is 141 and stderr stays empty."""
+def _run_into_closed_pipe(argv, unbuffered):
+    """Run `liouv argv` with stdout on a pipe whose read end is already closed."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "liouv.cli", "verify", "--random", "--n", "4", "--seed", "3"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env,
-        )
+        return subprocess.run([sys.executable, "-m", "liouv.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env)
     finally:
         os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["at_a_print", "at_the_final_flush"])
+def test_closed_stdout_pipe_exits_without_a_traceback(unbuffered):
+    """A reader that closed the pipe, as `liouv verify ... | head -n 1` does,
+    makes the write fail at a print (unbuffered) or at the flush before exit
+    (block-buffered); either way the exit code is 141 and stderr stays empty."""
+    proc = _run_into_closed_pipe(["verify", "--random", "--n", "4", "--seed", "3"], unbuffered)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("name, full", [("single_qubit.json", False), ("ising_chain_3.json", True)],
+                         ids=["below_the_buffer", "past_the_buffer"])
+def test_closed_stdout_pipe_during_a_streamed_report(unbuffered, name, full):
+    """The json report goes to stdout as one writelines of its pieces.  A
+    closed pipe fails at its first write when unbuffered; block-buffered, it
+    fails inside writelines for a 51 kB report (past the 8 kB buffer) and at
+    the final flush for a 3 kB one.  Each exits 141 with empty stderr."""
+    argv = ["analyze", model_path(name), "--format", "json"] + ["--full-spectrum"] * full
+    proc = _run_into_closed_pipe(argv, unbuffered)
     assert proc.returncode == 141
     assert proc.stderr == b""
 
@@ -563,6 +584,105 @@ def test_analyze_unwritable_output_exit_2(tmp_path, capsys):
     assert not target.exists()
 
 
+def _json_sha256(report) -> str:
+    """sha256 of `json.dumps(report, indent=2) + "\\n"`, hashed from json's own
+    indent-2 chunks in batches instead of from the joined text (the 98 MB
+    random8 full listing would take several hundred MB as one string)."""
+    digest = hashlib.sha256()
+    chunks = json.JSONEncoder(indent=2).iterencode(report)
+    while batch := "".join(islice(chunks, 1 << 16)):
+        digest.update(batch.encode())
+    digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def _file_sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["merged", "full_spectrum"])
+def test_output_file_and_stdout_are_json_dumps_random8(tmp_path, full):
+    """random_model(8, 1): 65,536 merged records, and with --full-spectrum as
+    many entries, each with 16 occupation triples.  --output writes the same
+    bytes as stdout, and both are json.dumps(indent=2) plus a newline."""
+    src = tmp_path / "random8.json"
+    src.write_text(json.dumps(model_to_dict(random_model(8, 1))))
+    argv = ["analyze", str(src), "--format", "json"] + ["--full-spectrum"] * full
+    stdout, target = tmp_path / "stdout.json", tmp_path / "report.json"
+    with open(stdout, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+        assert main(argv) == 0
+    assert main([*argv, "--output", str(target)]) == 0
+    expected = _json_sha256(build_report(analyze(*load_model(src)), full_spectrum=full))
+    assert _file_sha256(target) == _file_sha256(stdout) == expected
+
+
+def test_encode_error_leaves_an_existing_output_file_untouched(tmp_path, monkeypatch):
+    """The report is encoded in full before --output is opened: a value json
+    cannot encode raises before the old file is truncated."""
+    real_build_report = liouv.cli.build_report
+
+    def unencodable(*args, **kwargs):
+        report = real_build_report(*args, **kwargs)
+        report["spectrum"]["merged"][-1]["total_dim"] = np.int64(1)
+        return report
+
+    monkeypatch.setattr(liouv.cli, "build_report", unencodable)
+    target = tmp_path / "report.json"
+    target.write_text("previous report\n")
+    with pytest.raises(TypeError, match="int64"):
+        main(["analyze", model_path("ising_chain_3.json"), "--format", "json",
+              "--output", str(target)])
+    assert target.read_text() == "previous report\n"
+
+
+def _spectrum_rows_reference(sp) -> list[str]:
+    """render_text's spectrum rows as one f-string each, the renderer the
+    %-templates replaced, kept as the reference."""
+    out = []
+    for e in sp["merged"]:
+        re, im = e["lambda"]
+        star = "*" if e["lower_bound"] else " "
+        out.append(f"  {re:>14.8g} {im:>14.8g} {e['total_dim']:>5} "
+                   f"{e['max_jordan_block']:>5}{star}")
+    if "entries" in sp:
+        out.append("  full listing (occupation -> lambda, dim, maxblk):")
+        for e in sp["entries"]:
+            occ = " ".join(f"({j},{k})={m}" for j, k, m in e["occupation"])
+            re, im = e["lambda"]
+            out.append(f"    {re:+.8g}{im:+.8g}i  dim {e['subspace_dim']} "
+                       f"blk {e['max_jordan_block']}  {occ}")
+    return out
+
+
+def _edge_lambdas(report):
+    """The report with its eigenvalue coordinates replaced by edge floats."""
+    edges = [-0.0, 0.0, 5e-324, -1.7976931348623157e308, 0.30000000000000004,
+             -123456789.123456789, 1e-7, math.nan, math.inf, -math.inf]
+    sp = report["spectrum"]
+    for i, e in enumerate(sp["merged"] + sp.get("entries", [])):
+        e["lambda"] = [edges[i % len(edges)], edges[(3 * i + 1) % len(edges)]]
+    return report
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_report(analyze(*load_model(model_path("single_qubit.json"))), True),
+    lambda: build_report(analyze(*load_model(model_path("ising_chain_3.json"))), True),
+    lambda: build_report(analyze(random_model(4, 1)), True),
+    lambda: build_report(analyze(critical_plus_decoupled(3, 1, 0.7, 2)), True),
+    lambda: build_report(seventy_block_result(), True),
+    lambda: build_report(analyze(random_model(8, 1))),
+    lambda: _edge_lambdas(build_report(analyze(random_model(3, 2)), True)),
+], ids=["single_qubit", "ising_chain_3", "random4", "defective_copies", "seventy_block",
+        "random8_merged", "edge_floats"])
+def test_render_text_spectrum_rows_match_the_f_string_reference(make):
+    report = make()
+    rows = _spectrum_rows_reference(report["spectrum"])
+    lines = render_text(report).splitlines()
+    start = lines.index(f"  {'Re lambda':>14} {'Im lambda':>14} {'dim':>5} {'maxblk':>6}") + 1
+    assert lines[start:start + len(rows)] == rows
+    assert lines[start + len(rows):] in ([], [""] + lines[-1:])
+
+
 def test_bundled_chain_model_loads():
     model, _ = load_model(model_path("ising_chain_3.json"))
     assert model.n == 3
@@ -723,6 +843,41 @@ _TREES = st.recursive(
 @given(_TREES)
 def test_dumps_report_matches_json_property(tree):
     assert_dumps_like_json(tree)
+
+
+# floats whose shortest repr takes 17 significant digits, and the extremes
+_SEVENTEEN_DIGITS = [0.30000000000000004, 1.0000000000000002, 2.2250738585072014e-308,
+                     4.9406564584124654e-322, 9007199254740993.0, 123456789.12345679]
+_FINITE = (st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from(_EDGE_FLOATS[:6] + _SEVENTEEN_DIGITS))
+
+
+@st.composite
+def _repeated_float_columns(draw):
+    """Lists shaped like the report's float columns (float runs, matrix rows,
+    [re, im] rows, spectrum records) drawn from a pool of at most five
+    magnitudes, each value x or -x, so 0.0 meets -0.0 and every value repeats."""
+    pool = draw(st.lists(_FINITE, min_size=1, max_size=5))
+    value = st.builds(lambda x, neg: -x if neg else x, st.sampled_from(pool), st.booleans())
+    pair = st.lists(value, min_size=2, max_size=2)
+    k = draw(st.integers(1, 4))
+    return draw(st.one_of(
+        st.lists(value, min_size=1, max_size=40),
+        st.lists(st.lists(value, min_size=k, max_size=k), min_size=1, max_size=12),
+        st.lists(st.lists(pair, min_size=k, max_size=k), min_size=1, max_size=8),
+        st.lists(st.fixed_dictionaries({
+            "lambda": pair, "total_dim": st.integers(1, 9), "lower_bound": st.booleans(),
+        }), min_size=1, max_size=16),
+    ))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_repeated_float_columns(), min_size=1, max_size=3))
+def test_dumps_report_matches_json_on_repeated_floats(columns):
+    assert_dumps_like_json(columns)
+    written = io.StringIO()
+    write_report(columns, written)
+    assert written.getvalue() == json.dumps(columns, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("bad", [{"a": np.int64(1)}, [np.bool_(True)], {(1, 2): 0}, [{1, 2}]])

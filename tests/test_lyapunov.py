@@ -238,12 +238,15 @@ def test_sign_iteration_refuses_singular_iterate():
 
 def test_dense_path_does_not_load_scipy_linalg():
     code = (
-        "import sys\n"
-        "from liouv.analysis import analyze, build_report, dumps_report\n"
+        "import io, sys\n"
+        "from liouv.analysis import analyze, build_report, dumps_report, write_report\n"
+        "from liouv.io import model_to_dict, parse_model_dict\n"
         "from liouv.randmodel import random_model\n"
-        "result = analyze(random_model(3, 0))\n"
+        "model, tolerances = parse_model_dict(model_to_dict(random_model(3, 0)))\n"
+        "result = analyze(model, tolerances)\n"
         "assert result.driving.method == 'dense'\n"
         "dumps_report(build_report(result))\n"
+        "write_report(build_report(result, full_spectrum=True), io.StringIO())\n"
         "print('scipy.linalg' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
