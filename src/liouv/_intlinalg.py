@@ -2,9 +2,9 @@
 
 Only what the Jordan-structure computations need: matrix products and Bareiss
 fraction-free rank in Python bigints, rank over GF(p) in int64 numpy arrays,
-the rank staircase of a nilpotent matrix, and the Jordan block sizes a nullity
-staircase determines (shared with the numerical Jordan form, whose staircase
-comes from SVD ranks).
+rank over GF(2) on Python-int bitsets, the rank staircase of a nilpotent
+matrix, and the Jordan block sizes a nullity staircase determines (shared with
+the numerical Jordan form, whose staircase comes from SVD ranks).
 """
 
 from __future__ import annotations
@@ -85,6 +85,32 @@ def mod_rank(mat: np.ndarray) -> int:
         if r == rows:
             break
     return r
+
+
+def gf2_rank(mat: np.ndarray) -> int:
+    """Rank over GF(2) of an integer matrix, by XOR elimination on its rows
+    (or columns, whichever are fewer) packed into Python-int bitsets.
+
+    Like `mod_rank`, the result is at most the rank over Q, and a rank equal
+    to the smaller dimension is the rank over Q.
+    """
+    bits = np.asarray(mat) % 2 == 1
+    if bits.shape[0] > bits.shape[1]:
+        bits = bits.T
+    packed = np.packbits(bits, axis=1)
+    data, width = packed.tobytes(), packed.shape[1]
+    # v ^ b < v iff v has the leading bit of b; each basis vector is zero at
+    # the leading bits of those before it, so reducing v in basis order
+    # clears every leading bit of v, and a nonzero remainder is independent
+    basis: list[int] = []
+    for i in range(0, len(data), width):
+        v = int.from_bytes(data[i:i + width], "big")
+        for b in basis:
+            if v ^ b < v:
+                v ^= b
+        if v:
+            basis.append(v)
+    return len(basis)
 
 
 def nilpotent_staircase(mat: IntMatrix) -> list[int]:

@@ -4,10 +4,13 @@ Everything here is integer arithmetic: restricted binomial symbols, the Jordan
 decomposition of a sum of Jordan blocks on a tensor product, the seed vectors
 of its generalized-eigenvector chains, and the Jordan structure of the
 many-body nilpotent hopping map restricted to a fixed particle number,
-verified against exact rank staircases.  The staircase's central level
-chains are ranked over GF(p) in int64 arrays, where full rank certifies a
-bijection over Q; a chain that certificate misses gets an exact Bareiss rank
-in Python integers.
+verified against exact rank staircases.  The weight-level blocks of that map
+are built by array operations on the states' combinatorial-number-system
+ranks.  The staircase's central level chains are ranked over GF(p) in int64
+arrays, where full rank certifies a bijection over Q; the conjecture's level
+maps are ranked over GF(2) on Python-int bitsets first, then over GF(p).  A
+rank that neither prime certifies is an exact Bareiss rank in Python
+integers.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 from ._intlinalg import (
     PRIME,
     IntMatrix,
+    gf2_rank,
     int_matmul,
     int_rank,
     jordan_profile,
@@ -140,77 +144,70 @@ def seed_coefficients(k: int, l: int, r: int) -> list[int]:
     return c
 
 
-def _subset_states(l: int, m: int) -> list[tuple[int, ...]]:
-    """Occupation tuples with m particles on l sites, ordered by (weight, lex)."""
-    states = []
-    for sites in itertools.combinations(range(l), m):
-        nu = [0] * l
-        for s in sites:
-            nu[s] = 1
-        states.append(tuple(nu))
-    return sorted(states, key=lambda nu: (weight(nu), nu))
-
-
-def weight(nu: tuple[int, ...]) -> int:
-    """Weight of an occupation tuple: potential energy above the minimal packing."""
-    m = sum(nu)
-    return sum((k + 1) * v for k, v in enumerate(nu)) - m * (m + 1) // 2
-
-
 def nilpotent_map_matrix(l: int, m: int, limit: int = DEFAULT_DIMENSION_LIMIT) -> IntMatrix:
     """Matrix of the hopping map sum_k b'_{k+1} b_k on the m-particle sector.
 
     Basis: occupation tuples ordered by (weight, lexicographic).  All entries
     are 0 or 1; the fermionic signs of the adjacent hop cancel identically
-    (the map raises the weight by exactly 1).
+    (the map raises the weight by exactly 1), so the matrix is the level maps
+    B_r placed below the block diagonal.
     """
     if not (0 <= m <= l):
         raise ValueError("need 0 <= m <= l")
     dim = math.comb(l, m)
     if dim > limit:
         raise TooLarge(f"sector dimension C({l},{m}) = {dim} exceeds limit {limit}")
-    states = _subset_states(l, m)
-    index = {nu: i for i, nu in enumerate(states)}
-    mat = [[0] * dim for _ in range(dim)]
-    for col, nu in enumerate(states):
-        for k in range(l - 1):
-            if nu[k] == 1 and nu[k + 1] == 0:
-                hopped = list(nu)
-                hopped[k], hopped[k + 1] = 0, 1
-                mat[index[tuple(hopped)]][col] = 1
-    return mat
+    dims, blocks = _level_maps(l, m)
+    start = np.cumsum([0, *dims])
+    mat = np.zeros((dim, dim), dtype=np.int64)
+    for r, block in enumerate(blocks):
+        mat[start[r + 1]:start[r + 2], start[r]:start[r + 1]] = block
+    return mat.tolist()
 
 
 def _level_maps(l: int, m: int) -> tuple[list[int], list[np.ndarray]]:
     """Dimensions of the weight levels and the hop blocks B_r: level r -> r+1
-    as 0/1 int64 arrays of shape (dims[r+1], dims[r])."""
-    states = _subset_states(l, m)
-    rmax = m * (l - m)
-    level_states: list[list[tuple[int, ...]]] = [[] for _ in range(rmax + 1)]
-    for nu in states:
-        level_states[weight(nu)].append(nu)
-    dims = [len(s) for s in level_states]
+    as 0/1 int64 arrays of shape (dims[r+1], dims[r]).
+
+    A state is the increasing array of its m occupied sites s_0 < ... < s_{m-1},
+    keyed by its combinatorial-number-system rank sum_j C(s_j, j+1) < C(l, m).
+    `itertools.combinations` lists the states in descending lexicographic
+    order of their occupation tuples, so a stable sort of the reversed list by
+    weight sum_j s_j - m(m-1)/2 is the (weight, lex) order.  A hop moves a site
+    s_j whose right neighbour is empty to s_j + 1: the sites stay increasing,
+    the weight grows by 1 and the rank by C(s_j, j).
+    """
+    count = math.comb(l, m)
+    sites = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(l), m)),
+        dtype=np.int64, count=count * m,
+    ).reshape(count, m)[::-1]
+    # binom[k, s] = C(s, k) for every s <= l - m + k, the sites a rank or hop
+    # term reads, so no entry exceeds C(l, m); zero elsewhere
+    binom = np.array([[math.comb(s, k) if s <= l - m + k else 0 for s in range(l)]
+                      for k in range(m + 1)], dtype=np.int64)
+    rank = binom[np.arange(1, m + 1), sites].sum(axis=1)
+    level = sites.sum(axis=1) - m * (m - 1) // 2
+    order = np.argsort(level, kind="stable")
+    sites, rank, level = sites[order], rank[order], level[order]
+    position = np.empty(count, dtype=np.int64)
+    position[rank] = np.arange(count)
+    dims = np.bincount(level, minlength=m * (l - m) + 1)
+    start = np.concatenate(([0], np.cumsum(dims)))
+    right = np.concatenate((sites[:, 1:], np.full((count, 1), l)), axis=1)
+    # np.nonzero is row-major: src ascends, so each level's hops are contiguous
+    src, j = np.nonzero(sites + 1 < right)
+    dst = position[rank[src] + binom[j, sites[src, j]]]
+    rows = dst - start[level[src] + 1]
+    cols = src - start[level[src]]
+    bounds = np.searchsorted(src, start)
     blocks = []
-    for r in range(rmax):
-        idx = {nu: i for i, nu in enumerate(level_states[r + 1])}
-        rows, cols = [], []
-        for col, nu in enumerate(level_states[r]):
-            for k in range(l - 1):
-                if nu[k] == 1 and nu[k + 1] == 0:
-                    hopped = list(nu)
-                    hopped[k], hopped[k + 1] = 0, 1
-                    rows.append(idx[tuple(hopped)])
-                    cols.append(col)
+    for r in range(len(dims) - 1):
         block = np.zeros((dims[r + 1], dims[r]), dtype=np.int64)
-        block[rows, cols] = 1
+        hops = slice(bounds[r], bounds[r + 1])
+        block[rows[hops], cols[hops]] = 1
         blocks.append(block)
-    return dims, blocks
-
-
-def _level_matrices(l: int, m: int) -> tuple[list[int], list[IntMatrix]]:
-    """Dimensions of the weight levels and the hop blocks B_r as exact matrices."""
-    dims, blocks = _level_maps(l, m)
-    return dims, [b.tolist() for b in blocks]
+    return dims.tolist(), blocks
 
 
 @dataclass(frozen=True)
@@ -337,6 +334,11 @@ def verify_conjecture(l: int, limit: int = DEFAULT_DIMENSION_LIMIT) -> Conjectur
     r <= floor((w-1)/2) and surjective for r >= floor(w/2), w = (l-m)m; also
     checks the monotone growth of the restricted binomials up to the middle.
     A failed level is reported, not raised.
+
+    Each 0/1 level block is ranked over GF(2) on bitset rows first, then over
+    GF(p), and by Bareiss only when neither reaches the smaller dimension:
+    every minor that vanishes over Q vanishes modulo a prime, so a full rank
+    at either prime is the rank over Q and every reported rank is exact.
     """
     if math.comb(l, l // 2) > limit:
         raise TooLarge(f"middle sector of l={l} exceeds limit {limit}")
@@ -347,9 +349,15 @@ def verify_conjecture(l: int, limit: int = DEFAULT_DIMENSION_LIMIT) -> Conjectur
         row = restricted_binomial_row(l, m)
         if any(row[r] > row[r + 1] for r in range(0, w // 2)):
             monotone_ok = False
-        dims, level_blocks = _level_matrices(l, m)
-        for r in range(w):
-            rk = int_rank(level_blocks[r])
+        dims, level_blocks = _level_maps(l, m)
+        for r, block in enumerate(level_blocks):
+            # rank_2 and rank_p are at most rank_Q, so either is exact when full
+            full = min(block.shape)
+            rk = gf2_rank(block)
+            if rk < full:
+                rk = mod_rank(block)
+            if rk < full:
+                rk = int_rank(block.tolist())
             checks.append(
                 LevelCheck(
                     m=m,

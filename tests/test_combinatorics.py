@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from liouv._intlinalg import (
     PRIME,
+    gf2_rank,
     int_matmul,
     int_rank,
     jordan_profile,
@@ -15,7 +16,8 @@ from liouv._intlinalg import (
 )
 from liouv.combinatorics import (
     JordanBlockMultiset,
-    _level_matrices,
+    LevelCheck,
+    _level_maps,
     conjectured_blocks,
     jordan_blocks_of_nilpotent,
     nilpotent_blocks,
@@ -26,7 +28,6 @@ from liouv.combinatorics import (
     tensor_sum_blocks,
     tensor_sum_matrix,
     verify_conjecture,
-    weight,
 )
 from liouv.errors import TooLarge
 
@@ -158,6 +159,67 @@ def test_seed_vectors_generate_chains_of_exact_length(k, l):
             assert any(v != 0 for v in current), (r, step)
         current = [sum(row[i] * current[i] for i in range(len(current))) for row in mat]
         assert all(v == 0 for v in current)
+
+
+def weight(nu):
+    """Weight of an occupation tuple: potential energy above the minimal packing."""
+    m = sum(nu)
+    return sum((k + 1) * v for k, v in enumerate(nu)) - m * (m + 1) // 2
+
+
+def _subset_states(l, m):
+    """Occupation tuples with m particles on l sites, ordered by (weight, lex)."""
+    states = []
+    for sites in itertools.combinations(range(l), m):
+        nu = [0] * l
+        for s in sites:
+            nu[s] = 1
+        states.append(tuple(nu))
+    return sorted(states, key=lambda nu: (weight(nu), nu))
+
+
+def _tuple_level_maps(l, m):
+    """Reference for `_level_maps`: the occupation-tuple builder it replaced,
+    kept verbatim (per-tuple weights and a dict lookup per hop)."""
+    states = _subset_states(l, m)
+    rmax = m * (l - m)
+    level_states: list[list[tuple[int, ...]]] = [[] for _ in range(rmax + 1)]
+    for nu in states:
+        level_states[weight(nu)].append(nu)
+    dims = [len(s) for s in level_states]
+    blocks = []
+    for r in range(rmax):
+        idx = {nu: i for i, nu in enumerate(level_states[r + 1])}
+        rows, cols = [], []
+        for col, nu in enumerate(level_states[r]):
+            for k in range(l - 1):
+                if nu[k] == 1 and nu[k + 1] == 0:
+                    hopped = list(nu)
+                    hopped[k], hopped[k + 1] = 0, 1
+                    rows.append(idx[tuple(hopped)])
+                    cols.append(col)
+        block = np.zeros((dims[r + 1], dims[r]), dtype=np.int64)
+        block[rows, cols] = 1
+        blocks.append(block)
+    return dims, blocks
+
+
+def _level_matrices(l, m):
+    """The reference level maps as exact integer matrices."""
+    dims, blocks = _tuple_level_maps(l, m)
+    return dims, [b.tolist() for b in blocks]
+
+
+@pytest.mark.parametrize("l,m", [(l, m) for l in range(13) for m in range(l + 1)]
+                         + [(40, 2), (600, 1)])
+def test_level_maps_match_tuple_reference(l, m):
+    dims, blocks = _level_maps(l, m)
+    ref_dims, ref_blocks = _tuple_level_maps(l, m)
+    assert dims == ref_dims
+    assert len(blocks) == len(ref_blocks) == m * (l - m)
+    for block, ref in zip(blocks, ref_blocks):
+        assert block.dtype == ref.dtype and block.shape == ref.shape
+        assert np.array_equal(block, ref)
 
 
 def test_nilpotent_map_matrix_single_particle_is_jordan_block():
@@ -346,6 +408,67 @@ def test_conjectured_blocks_drop_zero_counts():
     assert all(count > 0 for _, count in blocks.blocks)
 
 
+def _bareiss_checks(l):
+    """LevelChecks of `verify_conjecture` from a Bareiss rank of every
+    reference level map."""
+    checks = []
+    for m in range(l + 1):
+        w = m * (l - m)
+        dims, level_blocks = _level_matrices(l, m)
+        for r, block in enumerate(level_blocks):
+            rk = int_rank(block)
+            checks.append(LevelCheck(
+                m=m, r=r, dim_from=dims[r], dim_to=dims[r + 1], rank=rk,
+                injective=rk == dims[r], surjective=rk == dims[r + 1],
+                required_injective=r <= (w - 1) // 2, required_surjective=r >= w // 2,
+            ))
+    return tuple(checks)
+
+
+def _refuse(mat):
+    raise AssertionError("rank asked of a refused method")
+
+
+@pytest.mark.parametrize("l", range(11))
+def test_verify_conjecture_matches_all_bareiss_reference(l):
+    assert verify_conjecture(l).checks == _bareiss_checks(l)
+
+
+@pytest.mark.parametrize("l", range(11))
+def test_verify_conjecture_without_gf2_ranks_over_gf_p(monkeypatch, l):
+    """With GF(2) refused, GF(p) certifies every level map of these l."""
+    import liouv.combinatorics as combinatorics
+
+    monkeypatch.setattr(combinatorics, "gf2_rank", lambda mat: -1)
+    monkeypatch.setattr(combinatorics, "int_rank", _refuse)
+    assert verify_conjecture(l).checks == _bareiss_checks(l)
+
+
+@pytest.mark.parametrize("l", range(11))
+def test_verify_conjecture_without_either_prime_ranks_by_bareiss(monkeypatch, l):
+    import liouv.combinatorics as combinatorics
+
+    calls = []
+
+    def counted(mat):
+        calls.append(len(mat))
+        return int_rank(mat)
+
+    monkeypatch.setattr(combinatorics, "gf2_rank", lambda mat: -1)
+    monkeypatch.setattr(combinatorics, "mod_rank", lambda mat: -1)
+    monkeypatch.setattr(combinatorics, "int_rank", counted)
+    checks = verify_conjecture(l).checks
+    assert checks == _bareiss_checks(l)
+    assert len(calls) == len(checks)
+
+
+def test_verify_conjecture_11_needs_no_bareiss(monkeypatch):
+    import liouv.combinatorics as combinatorics
+
+    monkeypatch.setattr(combinatorics, "int_rank", _refuse)
+    assert verify_conjecture(11).all_pass
+
+
 def test_verify_conjecture_trivial():
     rep = verify_conjecture(2)
     assert rep.all_pass
@@ -466,3 +589,40 @@ def test_mod_rank_matches_bareiss(mat):
     assert rank_p <= rank_q
     if math.prod(max(1.0, math.hypot(*row)) for row in mat) < PRIME:
         assert rank_p == rank_q
+
+
+@st.composite
+def _binary_matrices(draw):
+    """0/1 matrices, dense or a 0/1 product through k <= min(rows, cols)
+    reduced to 0/1, some rows repeated."""
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(1, 12))
+    bits = st.integers(0, 1)
+    if draw(st.booleans()):
+        mat = np.array([[draw(bits) for _ in range(cols)] for _ in range(rows)])
+    else:
+        k = draw(st.integers(0, min(rows, cols)))
+        a = np.array([[draw(bits) for _ in range(k)] for _ in range(rows)])
+        b = np.array([[draw(bits) for _ in range(cols)] for _ in range(k)])
+        mat = np.minimum(a.reshape(rows, k) @ b.reshape(k, cols), 1)
+    if rows > 1 and draw(st.booleans()):
+        mat[draw(st.integers(1, rows - 1))] = mat[0]
+    return np.array(mat, dtype=np.int64).reshape(rows, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_binary_matrices())
+def test_gf2_rank_bounds_bareiss(mat):
+    """rank_2 <= rank_Q always, and a full rank_2 is rank_Q."""
+    rank_2 = gf2_rank(mat)
+    rank_q = int_rank(mat.tolist())
+    assert rank_2 <= rank_q
+    if rank_2 == min(mat.shape):
+        assert rank_2 == rank_q
+    assert gf2_rank(mat.T) == rank_2
+
+
+def test_gf2_rank_drops_below_bareiss_on_an_even_determinant():
+    """rank_2 can fall below the rank over Q; GF(p) or Bareiss then decides."""
+    mat = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    assert gf2_rank(mat) == 2
+    assert mod_rank(mat) == int_rank(mat.tolist()) == 3
