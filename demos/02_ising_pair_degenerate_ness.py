@@ -11,7 +11,7 @@ coefficient), and all two-point functions are family-independent.
 import numpy as np
 
 from liouv import analyze, ness_covariance, validate_model
-from liouv.oracle import build_superoperator, majorana_ops, oracle_ness, verify_quadratic_form
+from liouv.oracle import build_superoperator, fock_operator, oracle_ness, verify_quadratic_form
 
 G1, G2, J = 0.3, 0.5, 0.7
 GP, GM = G2 + G1, G2 - G1
@@ -45,8 +45,10 @@ print(f"\ndense-generator kernel dimension: {on.kernel_dim}")
 C_fast = ness_covariance(result.driving.Z)
 print(f"|C_oracle - (1 + 4i Z^T)|_max = {np.abs(on.covariance - C_fast).max():.2e}")
 
-# one-point functions are the family-dependent observables
-rep = majorana_ops(2)
-ones = [np.trace(w @ on.rho).real for w in rep.w]
+# one-point functions are the family-dependent observables; the Majorana w_j
+# is 2^{n/2} times the monomial P_alpha with the single bit alpha = 1 << j
+n = model.n
+ones = [np.trace(2 ** (n / 2) * fock_operator(np.eye(4**n)[1 << j], n) @ on.rho).real
+        for j in range(2 * n)]
 print("one-point functions <w_j> of the oracle's steady state "
       f"(only w_4 may be nonzero): {np.round(ones, 6)}")

@@ -9,6 +9,7 @@ a file; `render_text` produces the human-readable table view.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import asdict, dataclass
 from itertools import chain, repeat
@@ -328,26 +329,9 @@ def _float_reprs(columns: list) -> list:
 
 def _encode(o, nl: str, out: list) -> None:
     """Append json's indent-2 text of `o`, whose first line sits at indent
-    `nl`, to `out` in pieces."""
-    if isinstance(o, str):
-        out.append(_jstr(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        if math.isfinite(o):
-            out.append(float.__repr__(o))
-        else:
-            out.append("NaN" if o != o else ("Infinity" if o > 0 else "-Infinity"))
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
+    `nl`, to `out` in pieces.  A non-empty list or dict is laid out here; any
+    other value, and any key that is not a str, is json's own text."""
+    if isinstance(o, (list, tuple)) and o:
         inner = nl + "  "
         sep = "," + inner
         fast = _template(o, inner)
@@ -368,29 +352,19 @@ def _encode(o, nl: str, out: list) -> None:
             else:
                 out.append(sep.join(map(template.__mod__, zip(*columns))))
         out.append(nl + "]")
-    elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
+    elif isinstance(o, dict) and o:
         inner = nl + "  "
         sep = "," + inner
         out.append("{" + inner)
         for i, (k, v) in enumerate(o.items()):
-            out.append((sep if i else "") + _key(k) + ": ")
+            # json writes an int, float, bool or None key as a string, and
+            # json.dumps({k: 0}) is '{' + that string + ': 0}'
+            key = _jstr(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]
+            out.append((sep if i else "") + key + ": ")
             _encode(v, inner, out)
         out.append(nl + "}")
     else:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
-def _key(k) -> str:
-    if isinstance(k, str):
-        return _jstr(k)
-    if k is None or isinstance(k, (int, float)):
-        out = []
-        _encode(k, "", out)
-        return _jstr(out[0])
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+        out.append(json.dumps(o))
 
 
 def _report_pieces(report) -> list:

@@ -3,14 +3,14 @@
 Everything here is integer arithmetic: restricted binomial symbols, the Jordan
 decomposition of a sum of Jordan blocks on a tensor product, the seed vectors
 of its generalized-eigenvector chains, and the Jordan structure of the
-many-body nilpotent hopping map restricted to a fixed particle number,
-verified against exact rank staircases.  The weight-level blocks of that map
-are built by array operations on the states' combinatorial-number-system
-ranks.  The staircase's central level chains are ranked over GF(p) in int64
-arrays, where full rank certifies a bijection over Q; the conjecture's level
-maps are ranked over GF(2) on Python-int bitsets first, then over GF(p).  A
-rank that neither prime certifies is an exact Bareiss rank in Python
-integers.
+many-body nilpotent hopping map restricted to a fixed particle number.  The
+weight-level blocks of that map are built by array operations on the states'
+combinatorial-number-system ranks.  Its central level chains are ranked over
+GF(p) in int64 arrays, where full rank certifies a bijection over Q, and once
+all are bijective its Jordan blocks follow from the level dimensions; the
+conjecture's level maps are ranked over GF(2) on Python-int bitsets first,
+then over GF(p).  A rank that neither prime certifies is an exact Bareiss rank
+in Python integers.
 """
 
 from __future__ import annotations
@@ -221,16 +221,23 @@ class NilpotentBlocksReport:
     agree: bool
 
 
-def conjectured_blocks(l: int, m: int) -> JordanBlockMultiset:
-    """Block multiset implied by the restricted-binomial formula."""
-    w = m * (l - m)
-    row = restricted_binomial_row(l, m)
+def _profile(row: list[int]) -> JordanBlockMultiset:
+    """The Jordan blocks of a weight-graded nilpotent map whose level
+    dimensions are `row`, when every chain from a level r < w/2 to its mirror
+    level w - r is bijective (w = len(row) - 1): row[r] - row[r-1] blocks of
+    size w + 1 - 2r."""
+    w = len(row) - 1
     blocks = []
     for r in range(w // 2 + 1):
         count = row[r] - (row[r - 1] if r else 0)
         if count > 0:
             blocks.append((w + 1 - 2 * r, count))
     return JordanBlockMultiset(tuple(sorted(blocks, reverse=True)))
+
+
+def conjectured_blocks(l: int, m: int) -> JordanBlockMultiset:
+    """Block multiset implied by the restricted-binomial formula."""
+    return _profile(restricted_binomial_row(l, m))
 
 
 def _central_chains_mod_p(dims: list[int], blocks: list[np.ndarray]):
@@ -251,48 +258,33 @@ def _central_chains_mod_p(dims: list[int], blocks: list[np.ndarray]):
 def nilpotent_blocks(l: int, m: int, limit: int = DEFAULT_DIMENSION_LIMIT) -> NilpotentBlocksReport:
     """Ground-truth Jordan blocks of the m-particle hopping map.
 
-    Computed from the exact rank staircase, block by weight level: the map is
-    strictly weight-graded, so rank(M^p) is the sum over r of the ranks of the
-    chains P_{r,p} = B_{r+p-1} ... B_r from level r to level r+p.  Only the
-    central chains, from a level r < w/2 to its mirror level w-r (w = m(l-m)),
-    are ranked: over GF(p) first, where full rank certifies a bijection over
-    Q, and by Bareiss on the exact chain where it does not.  A prefix of an
-    injective chain is injective and a suffix of a surjective one is
-    surjective, so every other chain has rank dims[r] or dims[r+p] when the
-    central chains are bijective; any chain that argument leaves open gets a
-    Bareiss rank too.
+    The map is strictly weight-graded.  Each central chain
+    P_{r,w-2r} = B_{w-r-1} ... B_r, from a level r < w/2 to its mirror level
+    w - r (w = m(l-m), dims[r] = dims[w-r]), is ranked over GF(p) first, where
+    full rank certifies a bijection over Q, and by Bareiss on the exact chain
+    where it does not.  A prefix of an injective chain is injective and a
+    suffix of a surjective one is surjective, so when every central chain is
+    bijective each chain P_{r,p} has rank dims[r] or dims[r+p], and the
+    staircase is the `_profile` of the level dimensions.  Otherwise it is the
+    exact staircase of the whole map.
     """
     dim = math.comb(l, m)
     if dim > limit:
         raise TooLarge(f"sector dimension C({l},{m}) = {dim} exceeds limit {limit}")
     dims, blocks = _level_maps(l, m)
     w = m * (l - m)
-    # powers[r][p] = P_{r,p} exactly, built on demand from the identity P_{r,0}
-    powers: dict[int, list[IntMatrix]] = {}
 
-    def chain(r: int, p: int) -> IntMatrix:
-        k = dims[r]
-        path = powers.setdefault(r, [[[int(i == j) for j in range(k)] for i in range(k)]])
-        while len(path) <= p:
-            path.append(int_matmul(blocks[r + len(path) - 1].tolist(), path[-1]))
-        return path[p]
+    def exact_chain(r: int) -> IntMatrix:
+        chain = blocks[r].tolist()
+        for block in blocks[r + 1:w - r]:
+            chain = int_matmul(block.tolist(), chain)
+        return chain
 
-    central = {r: dims[r] if mod_rank(mod_chain) == dims[r] else int_rank(chain(r, w - 2 * r))
-               for r, mod_chain in _central_chains_mod_p(dims, blocks)}
-    ranks = []
-    for p in range(1, w + 2):
-        total = 0
-        for r in range(w + 1 - p):
-            if r + p <= w - r and central[r] == dims[r]:
-                total += dims[r]
-            elif w - r - p <= r and central[w - r - p] == dims[r + p]:
-                total += dims[r + p]
-            else:
-                total += int_rank(chain(r, p))
-        ranks.append(total)
-        if total == 0:
-            break
-    staircase = JordanBlockMultiset(tuple(jordan_profile([dim - r for r in ranks])))
+    if all(mod_rank(mod_chain) == dims[r] or int_rank(exact_chain(r)) == dims[r]
+           for r, mod_chain in _central_chains_mod_p(dims, blocks)):
+        staircase = _profile(dims)
+    else:
+        staircase = jordan_blocks_of_nilpotent(nilpotent_map_matrix(l, m, limit))
     conj = conjectured_blocks(l, m)
     return NilpotentBlocksReport(l, m, staircase, conj, staircase == conj)
 

@@ -111,10 +111,14 @@ def load_model(path: str | Path) -> tuple[QuadraticLindbladModel, Tolerances]:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: byte offset {exc.start}: {exc.reason}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
     return parse_model_dict(doc)
 
 

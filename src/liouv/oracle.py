@@ -1,25 +1,25 @@
 """Brute-force ground truth at small fermion number.
 
-Explicit Jordan-Wigner Majorana matrices on the 2^n Hilbert space, the dense
-4^n x 4^n Lindblad generator on the Majorana-monomial basis
-P_alpha = 2^{-n/2} w_1^a1 ... w_2n^a2n, scattered from K and the Lindblad
-vectors alone (left and right multiplication by a Majorana is a signed
-permutation of that basis), the Majorana maps of the operator Fock space as
-signed permutations, and the comparisons that pin the fast path: the
-quadratic-form identity per parity sector (the form scattered one sector
-block at a time), spectrum multisets, and steady-state correlators.  Every
-check takes the generator it checks, built once by `build_superoperator`.  In
-the Hermitian basis the generator is real and splits into two parity blocks,
-whose SVDs give the kernel; each block is triangular in the Majorana degree,
-so the spectrum comes from its 2n+1 diagonal degree blocks.  A multiset
-matching takes the nearest elements when no two share one, and imports
-scipy's assignment solver only when they do.  The Majorana matrices are
-built once per n and kept read-only.
+One basis throughout, the Majorana monomials
+P_alpha = 2^{-n/2} w_1^a1 ... w_2n^a2n: the dense 4^n x 4^n Lindblad
+generator, scattered from K and the Lindblad vectors alone (left and right
+multiplication by a Majorana is a signed permutation of that basis), the
+Majorana maps of the operator Fock space as signed permutations, and the
+comparisons that pin the fast path: the quadratic-form identity per parity
+sector (the form scattered one sector block at a time), spectrum multisets,
+and steady-state correlators.  Every check takes the generator it checks,
+built once by `build_superoperator`.  In the Hermitian basis the generator is
+real and splits into two parity blocks, whose SVDs give the kernel; each block
+is triangular in the Majorana degree, so the spectrum comes from its 2n+1
+diagonal degree blocks.  The steady state's two-point functions are its
+coefficients on the degree-2 monomials, and its 2^n x 2^n matrix, for the
+positivity witness, is assembled from the Jordan-Wigner bit rules of the w_j.
+A multiset matching takes the nearest elements when no two share one, and
+imports scipy's assignment solver only when they do.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass, field
 
@@ -31,10 +31,6 @@ from .spectra import SpectrumEnumeration
 from .tolerances import ORACLE_TOL_KERNEL, ORACLE_TOL_POS, ORACLE_TOL_RANK, ORACLE_TOL_TRACE
 
 DEFAULT_NMAX = 5
-
-_SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
-_SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def check_size(n: int):
@@ -49,31 +45,6 @@ def check_size(n: int):
         raise InputError(f"LIOUV_NMAX: expected a positive integer, got {env!r}")
     if n > limit:
         raise TooLarge(f"n = {n} exceeds the oracle limit n_max = {limit}")
-
-
-@dataclass(frozen=True)
-class MajoranaRep:
-    """2n Hermitian anticommuting matrices on the 2^n-dimensional Hilbert space."""
-
-    n: int
-    w: tuple[np.ndarray, ...]
-
-
-def majorana_ops(n: int) -> MajoranaRep:
-    """Jordan-Wigner Majoranas: w_{2j-1}, w_{2j} act on site j with sigma^3
-    strings on the sites before it.  Built once per n; the arrays are read-only."""
-    check_size(n)
-    return _majorana_ops(n)
-
-
-@functools.cache
-def _majorana_ops(n: int) -> MajoranaRep:
-    ws = []
-    for j in range(n):
-        for op in (_SIGMA1, _SIGMA2):
-            ws.append(functools.reduce(np.kron, [_SIGMA3] * j + [op] + [np.eye(2)] * (n - j - 1)))
-            ws[-1].setflags(write=False)
-    return MajoranaRep(n, tuple(ws))
 
 
 @dataclass(frozen=True)
@@ -149,19 +120,28 @@ def build_superoperator(model: QuadraticLindbladModel) -> Superoperator:
 def fock_operator(coeff: np.ndarray, n: int) -> np.ndarray:
     """The 2^n x 2^n operator sum_alpha coeff_alpha P_alpha.
 
-    P_alpha = 2^{-n/2} w_1^a1 ... w_2n^a2n has one nonzero per column, as each
-    w_j does.  The monomials with highest Majorana j are those below j times
-    w_j on the right, so 2n doublings give the rows and values of all 4^n, in
-    O(2^n 4^n).
+    Site j is bit n-1-j of the Hilbert-space index.  The Jordan-Wigner
+    Majoranas w_2j = Z...Z X and w_2j+1 = Z...Z Y flip that bit with the sign
+    (-1)^(occupied sites before j), w_2j+1 times i on an empty site and -i on
+    an occupied one, so P_alpha has one nonzero per column, as each w_j does.
+    The monomials with highest Majorana j are those below j times w_j on the
+    right, so 2n doublings give the rows and values of all 4^n, in O(2^n 4^n).
     """
+    check_size(n)
     dim = 2**n
     cols = np.arange(dim)
     rows = cols[None]
     values = np.full((1, dim), 2 ** (-n / 2), dtype=complex)
-    for wj in majorana_ops(n).w:
-        wj_rows = np.abs(wj).argmax(axis=0)
-        rows = np.concatenate([rows, rows[:, wj_rows]])
-        values = np.concatenate([values, values[:, wj_rows] * wj[wj_rows, cols]])
+    before = np.zeros(dim, dtype=np.int64)  # parity of the occupied sites before j
+    for j in range(n):
+        occupied = (cols >> (n - 1 - j)) & 1
+        flipped = cols ^ (1 << (n - 1 - j))
+        sign = 1 - 2 * before
+        # (P w_j)[:, c] is P's column flipped(c) times w_j's value in column c
+        for wj in (sign + 0j, 1j * sign * (1 - 2 * occupied)):
+            rows = np.concatenate([rows, rows[:, flipped]])
+            values = np.concatenate([values, values[:, flipped] * wj])
+        before ^= occupied
     out = np.zeros(dim * dim, dtype=complex)
     np.add.at(out, rows * dim + cols, coeff[:, None] * values)
     return out.reshape(dim, dim)
@@ -326,8 +306,9 @@ class OracleNess:
     rho is the unique steady state when kernel_dim == 1, otherwise the one the
     dynamics reaches from the maximally mixed state.  positive_witness_found
     records that its smallest eigenvalue passes -ORACLE_TOL_POS.  covariance
-    is tr(w_j w_k rho).  kernel_vectors is an orthonormal kernel basis of
-    P_alpha coefficients, the even sector's columns first.
+    is tr(w_j w_k rho), read off the P_alpha coefficients of rho.
+    kernel_vectors is an orthonormal kernel basis of P_alpha coefficients, the
+    even sector's columns first.
     """
 
     kernel_dim: int
@@ -376,8 +357,12 @@ def oracle_ness(qf: QuadraticFormReport) -> OracleNess:
     coeff = on_fock(right @ np.linalg.solve(left @ right, left @ mixed), even)
     rho = fock_operator(coeff[:, 0], n)
     min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
-    w = majorana_ops(n).w
-    C = np.array([[np.trace(wj @ wk @ rho) for wk in w] for wj in w])
+    # w_j w_k = 2^{n/2} P_{e_j+e_k} for j < k, and P_{e_j+e_k} is anti-Hermitian
+    j, k = np.triu_indices(2 * n, 1)
+    C = np.zeros((2 * n, 2 * n), dtype=complex)
+    C[j, k] = -(2 ** (n / 2)) * coeff[(1 << j) | (1 << k), 0]
+    C = C - C.T
+    np.fill_diagonal(C, np.trace(rho))
     return OracleNess(
         kernel.shape[1],
         rho,

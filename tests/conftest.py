@@ -193,6 +193,25 @@ def full_quadratic_form(sm_A, A0, n):
     return out
 
 
+_SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
+_SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+@functools.cache
+def kron_majoranas(n):
+    """The 2n Jordan-Wigner Majoranas as dense 2^n x 2^n matrices built by
+    kron: w_2j, w_2j+1 act on site j with sigma^3 strings on the sites before
+    it.  The reference for the bit rules of `oracle.fock_operator`.  Built once
+    per n; the arrays are read-only."""
+    ws = []
+    for j in range(n):
+        for op in (_SIGMA1, _SIGMA2):
+            ws.append(functools.reduce(np.kron, [_SIGMA3] * j + [op] + [np.eye(2)] * (n - j - 1)))
+            ws[-1].setflags(write=False)
+    return tuple(ws)
+
+
 def hamiltonian_matrix(model, w):
     """H = w . (iK) w on the Hilbert space, w the Jordan-Wigner Majoranas."""
     d = model.dim
@@ -215,7 +234,7 @@ def kron_superoperator(model):
     is kron(B^T, A), assembled from H and the L_mu on the Hilbert space: the
     build `oracle.build_superoperator` is checked against, through
     `fock_basis_transform`."""
-    w = oracle.majorana_ops(model.n).w
+    w = kron_majoranas(model.n)
     eye = np.eye(2**model.n, dtype=complex)
     H = hamiltonian_matrix(model, w)
     S = -1j * (np.kron(eye, H) - np.kron(H.T, eye))
@@ -235,7 +254,7 @@ def fock_basis_transform(n):
     once per n; the array is read-only.
     """
     mats = np.eye(2**n, dtype=complex)[None] * 2 ** (-n / 2)
-    for wj in oracle.majorana_ops(n).w:
+    for wj in kron_majoranas(n):
         mats = np.concatenate([mats, mats @ wj])
     T = mats.transpose(0, 2, 1).reshape(4**n, -1).T
     T.setflags(write=False)

@@ -122,6 +122,21 @@ def test_analyze_bad_model_exit_2(tmp_path, capsys):
     assert main(["analyze", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe", "not UTF-8: byte offset 0"),
+    (b"[" * 200_000 + b"]" * 200_000, "JSON nested too deeply"),
+], ids=["non_utf8", "deep_array"])
+def test_unparseable_model_file_exit_2(tmp_path, capsys, command, content, message):
+    # a UnicodeDecodeError and a RecursionError used to end in a traceback
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main([command, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: {message}")
+
+
 def test_analyze_non_finite_model_exit_2(tmp_path):
     # json.loads accepts NaN and Infinity; validation must reject them
     bad = tmp_path / "nan.json"

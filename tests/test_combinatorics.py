@@ -369,21 +369,22 @@ def test_nilpotent_blocks_without_central_ranks_falls_back_to_bareiss(monkeypatc
 
 @pytest.mark.parametrize("l,m", [(6, 3), (7, 3), (8, 4)])
 def test_nilpotent_blocks_without_any_central_rank_ranks_every_chain(monkeypatch, l, m):
-    """If neither GF(p) nor Bareiss certifies a central chain bijective,
-    every chain gets its own Bareiss rank and the staircase is still exact."""
+    """If neither GF(p) nor Bareiss certifies a central chain bijective, the
+    staircase of the whole map is taken once, and it equals the all-Bareiss
+    reference."""
     import liouv.combinatorics as combinatorics
 
-    central = (m * (l - m) + 1) // 2
-    calls = []
+    whole = []
 
-    def uncertified(mat):
-        calls.append(len(mat))
-        return -1 if len(calls) <= central else int_rank(mat)
+    def spied(mat):
+        whole.append(len(mat))
+        return jordan_blocks_of_nilpotent(mat)
 
     monkeypatch.setattr(combinatorics, "mod_rank", lambda mat: -1)
-    monkeypatch.setattr(combinatorics, "int_rank", uncertified)
+    monkeypatch.setattr(combinatorics, "int_rank", lambda mat: -1)
+    monkeypatch.setattr(combinatorics, "jordan_blocks_of_nilpotent", spied)
     assert nilpotent_blocks(l, m).staircase == _bareiss_staircase(l, m)
-    assert len(calls) > central
+    assert whole == [math.comb(l, m)]
 
 
 @pytest.mark.parametrize("l,m", [(6, 3), (7, 3), (8, 4), (12, 6)])

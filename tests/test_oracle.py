@@ -38,6 +38,7 @@ from conftest import (
     full_quadratic_form,
     hamiltonian_matrix,
     ising_pair_model,
+    kron_majoranas,
     kron_superoperator,
     planted_model,
     reference_superoperator,
@@ -65,19 +66,21 @@ def full_stage(model):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_majorana_car_exact(n):
-    rep = oracle.majorana_ops(n)
-    assert len(rep.w) == 2 * n
+    w = kron_majoranas(n)
+    assert len(w) == 2 * n
     eye = np.eye(2**n)
-    for j, wj in enumerate(rep.w):
+    for j, wj in enumerate(w):
         np.testing.assert_array_equal(wj, wj.conj().T)
-        for k, wk in enumerate(rep.w):
+        for k, wk in enumerate(w):
             anti = wj @ wk + wk @ wj
             np.testing.assert_allclose(anti, 2 * (j == k) * eye, atol=1e-15)
 
 
 def test_majorana_size_limit():
     with pytest.raises(TooLarge):
-        oracle.majorana_ops(7)
+        oracle.fock_operator(np.zeros(4**7), 7)
+    with pytest.raises(TooLarge):
+        oracle.fock_majoranas(7)
 
 
 def _dense_majoranas(n):
@@ -153,7 +156,7 @@ def test_fock_basis_transform_unitary():
 
 def _fock_basis_transform_by_products(n):
     """Columns vec(P_alpha), each monomial a product of the dense Majoranas."""
-    w = oracle.majorana_ops(n).w
+    w = kron_majoranas(n)
     cols = []
     for alpha in oracle._alpha_bits(n).T:
         mat = np.eye(2**n, dtype=complex) * 2 ** (-n / 2)
@@ -389,7 +392,7 @@ def test_degree_leak_sees_a_degree_lowering_term(n):
     eps = 1e-6
     model = random_model(n, 5)
     sup = oracle.build_superoperator(model)
-    w = oracle.majorana_ops(n).w
+    w = kron_majoranas(n)
     X = 1j * w[0] @ w[1]
     eye = np.eye(2**n)
     anticommutator = to_fock(np.kron(eye, X) + np.kron(X.T, eye), n)
@@ -449,7 +452,7 @@ def test_oracle_ness_even_correlators_insensitive():
     """Even monomial expectations do not depend on the degeneracy parameter."""
     m = ising_pair_model()
     on = oracle.oracle_ness(quadratic_form_report(m))
-    rep = oracle.majorana_ops(2)
+    w = kron_majoranas(2)
     kernel = on.kernel_vectors
     # rebuild the one-parameter family rho(alpha) from the kernel
     rhos = [oracle.fock_operator(kernel[:, i], 2) for i in range(2)]
@@ -461,7 +464,7 @@ def test_oracle_ness_even_correlators_insensitive():
     for alpha in (0.0, 0.05, -0.05):
         rho = base + alpha * traceless
         C = np.array(
-            [[np.trace(rep.w[j] @ rep.w[k] @ rho) for k in range(4)] for j in range(4)]
+            [[np.trace(w[j] @ w[k] @ rho) for k in range(4)] for j in range(4)]
         )
         np.testing.assert_allclose(C, on.covariance, atol=1e-9)
 
@@ -474,7 +477,7 @@ def _zero(n):
     return validate_model(n, np.zeros((2 * n, 2 * n)), [])
 
 
-@pytest.mark.parametrize("kernel_dim, build", [
+STATIONARY_CASES = pytest.mark.parametrize("kernel_dim, build", [
     (1, lambda: _bundled("single_qubit")),
     (1, lambda: random_model(3, 7)),
     (2, lambda: _bundled("ising_pair")),
@@ -492,6 +495,9 @@ def _zero(n):
 ], ids=["single_qubit", "random3", "ising_pair", "ising_chain_3", "zero1", "zero2",
         "axis4", "axis5", "axis6", "axis7",
         "hamiltonian1", "hamiltonian2", "hamiltonian3", "hamiltonian4"])
+
+
+@STATIONARY_CASES
 def test_oracle_ness_state_is_a_stationary_density_matrix(kernel_dim, build):
     """The projected maximally mixed state is a stationary, trace-one, Hermitian,
     positive density matrix at every kernel dimension, and its two-point
@@ -512,6 +518,18 @@ def test_oracle_ness_state_is_a_stationary_density_matrix(kernel_dim, build):
     ness = analyze(m).ness
     if ness.unique or (len(ness.zero_rapidity_modes) == 1 and not ness.imaginary_pair_modes):
         np.testing.assert_allclose(on.covariance, ness.covariance, rtol=0, atol=1e-12)
+
+
+@STATIONARY_CASES
+def test_oracle_ness_covariance_is_the_dense_trace(kernel_dim, build):
+    """The covariance read off the coefficients of rho is tr(w_j w_k rho) with
+    the kron-built Majoranas, also on the degenerate models that `liouv
+    verify` does not compare with the analysis."""
+    m = build()
+    on = oracle.oracle_ness(quadratic_form_report(m))
+    w = kron_majoranas(m.n)
+    C = np.array([[np.trace(wj @ wk @ on.rho) for wk in w] for wj in w])
+    np.testing.assert_allclose(on.covariance, C, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -621,7 +639,7 @@ def test_verify_fails_on_an_imaginary_hermitian_basis_part(monkeypatch, capsys):
     n = 2
     K = np.random.default_rng(7).standard_normal((2 * n, 2 * n))
     K = (K - K.T) / 2
-    H = hamiltonian_matrix(validate_model(n, K, []), oracle.majorana_ops(n).w)
+    H = hamiltonian_matrix(validate_model(n, K, []), kron_majoranas(n))
     eye = np.eye(2**n)
     commutator = to_fock(np.kron(eye, H) - np.kron(H.T, eye), n)  # i * (-i [H, .])
     real_build, real_analyze = oracle.build_superoperator, liouv.cli.analyze
@@ -988,26 +1006,17 @@ def test_normal_form_matrix_identity():
 def test_nmax_env_override(monkeypatch):
     monkeypatch.setenv("LIOUV_NMAX", "1")
     with pytest.raises(TooLarge):
-        oracle.majorana_ops(2)
+        oracle.fock_operator(np.zeros(16), 2)
     monkeypatch.delenv("LIOUV_NMAX")
-    oracle.majorana_ops(2)
+    oracle.fock_operator(np.zeros(16), 2)
 
 
 def test_cached_bases_still_check_the_size_limit(monkeypatch):
-    """The Majoranas are built once per n, but every call checks LIOUV_NMAX,
-    and so does the generator, which has no cache."""
+    """Every call of the Fock maps and of the generator checks LIOUV_NMAX."""
     monkeypatch.delenv("LIOUV_NMAX", raising=False)
-    assert oracle.majorana_ops(2) is oracle.majorana_ops(2)
+    oracle.fock_majoranas(2)
     monkeypatch.setenv("LIOUV_NMAX", "1")
     with pytest.raises(TooLarge):
-        oracle.majorana_ops(2)
+        oracle.fock_majoranas(2)
     with pytest.raises(TooLarge):
         oracle.build_superoperator(ising_pair_model())
-
-
-def test_cached_bases_are_read_only():
-    for w in oracle.majorana_ops(2).w:
-        with pytest.raises(ValueError):
-            w[0, 0] = 0
-    rep = oracle.majorana_ops(2)
-    np.testing.assert_array_equal(rep.w[0] @ rep.w[0], np.eye(4))
