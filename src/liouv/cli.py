@@ -115,8 +115,7 @@ def cmd_verify(args) -> int:
              "verify compares all of it")
 
     print(f"verify {label}: n={model.n}")
-    sup = oracle.build_superoperator(model)
-    qf = oracle.verify_quadratic_form(sup, result.structure)
+    qf = oracle.verify_quadratic_form(oracle.build_superoperator(model), result.structure)
     print(f"  quadratic-form residual: even {qf.residual_even:.3e}, odd {qf.residual_odd:.3e}")
     print(f"  Hermitian-basis imaginary residual: {qf.imaginary_residual:.3e}")
     print(f"  Majorana-degree leak: {qf.degree_leak:.3e}")

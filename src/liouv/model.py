@@ -53,13 +53,20 @@ class StructureMatrix:
     A0: float
 
 
+def _finite(name: str, value: np.ndarray) -> np.ndarray:
+    """value, or InputError naming it when an entry overflowed."""
+    if not np.isfinite(value).all():
+        raise InputError(f"{name} overflows: an entry is not a finite float")
+    return value
+
+
 def validate_model(n: int, K: np.ndarray, lindblad_vectors) -> QuadraticLindbladModel:
     """Check shapes, finiteness and antisymmetry; return the model with K
     antisymmetrized.
 
     The antisymmetry limit INPUT_ANTISYMMETRY_MAX is relative to max|K|.
     Raises DimensionMismatch, NotAntisymmetric or InputError (NaN or
-    infinite entries) on bad input.
+    infinite entries, or an antisymmetrized K that overflows) on bad input.
     """
     if n < 1:
         raise DimensionMismatch(f"n must be a positive integer, got {n}")
@@ -70,7 +77,9 @@ def validate_model(n: int, K: np.ndarray, lindblad_vectors) -> QuadraticLindblad
     if not np.isfinite(K).all():
         raise InputError("K has a NaN or infinite entry")
     scale = max(np.abs(K).max(), 1.0)
-    asym = np.abs(K + K.T).max()
+    with np.errstate(over="ignore"):
+        asym = np.abs(K + K.T).max()
+        antisymmetric = _finite("the antisymmetrized K, (K - K^T)/2", (K - K.T) / 2)
     if asym > INPUT_ANTISYMMETRY_MAX * scale:
         raise NotAntisymmetric(
             f"max|K + K^T| = {asym:.3e} exceeds {INPUT_ANTISYMMETRY_MAX:.1e} * max|K|"
@@ -85,17 +94,20 @@ def validate_model(n: int, K: np.ndarray, lindblad_vectors) -> QuadraticLindblad
         if not np.isfinite(l).all():
             raise InputError(f"Lindblad vector {mu} has a NaN or infinite entry")
         vectors.append(_frozen(l))
-    return QuadraticLindbladModel(n, _frozen((K - K.T) / 2), tuple(vectors))
+    return QuadraticLindbladModel(n, _frozen(antisymmetric), tuple(vectors))
 
 
 def build_bath_matrices(model: QuadraticLindbladModel) -> BathMatrices:
-    """Assemble M = sum_mu l_mu (x) conj(l_mu); PSD by construction, asserted anyway."""
+    """Assemble M = sum_mu l_mu (x) conj(l_mu); PSD by construction, asserted
+    anyway.  Raises InputError when M overflows."""
     d = model.dim
     M = np.zeros((d, d), dtype=complex)
-    for l in model.lindblad_vectors:
-        M += np.outer(l, l.conj())
-    M_r = (M + M.conj()).real / 2
-    M_i = ((M - M.conj()) / 2j).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in model.lindblad_vectors:
+            M += np.outer(l, l.conj())
+        M_r = (M + M.conj()).real / 2
+        M_i = ((M - M.conj()) / 2j).real
+    _finite("the bath matrix M", M)
     if model.lindblad_vectors:
         scale = max(np.abs(M).max(), 1.0)
         lam_min = np.linalg.eigvalsh(M).min()
@@ -107,8 +119,12 @@ def build_bath_matrices(model: QuadraticLindbladModel) -> BathMatrices:
 
 
 def build_X(model: QuadraticLindbladModel, bath: BathMatrices) -> np.ndarray:
-    """X = 2K + 2M_r; real, with X + X^T = 4 M_r >= 0."""
-    return _frozen(2 * model.K + 2 * bath.M_r)
+    """X = 2K + 2M_r; real, with X + X^T = 4 M_r >= 0.  Raises InputError when
+    X or its trace, A_0 = 2 tr M_r, overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = _finite("X = 2K + 2M_r", 2 * model.K + 2 * bath.M_r)
+        _finite("A_0 = tr X", np.trace(X))
+    return _frozen(X)
 
 
 def skew_unit(n: int) -> np.ndarray:

@@ -1,21 +1,20 @@
 """Brute-force ground truth at small fermion number.
 
-One basis throughout, the Majorana monomials
-P_alpha = 2^{-n/2} w_1^a1 ... w_2n^a2n: the dense 4^n x 4^n Lindblad
-generator, scattered from K and the Lindblad vectors alone (left and right
-multiplication by a Majorana is a signed permutation of that basis), the
-Majorana maps of the operator Fock space as signed permutations, and the
-comparisons that pin the fast path: the quadratic-form identity per parity
-sector (the form scattered one sector block at a time), spectrum multisets,
-and steady-state correlators.  Every check takes the generator it checks,
-built once by `build_superoperator`.  In the Hermitian basis the generator is
-real and splits into two parity blocks, whose SVDs give the kernel; each block
-is triangular in the Majorana degree, so the spectrum comes from its 2n+1
-diagonal degree blocks.  The steady state's two-point functions are its
-coefficients on the degree-2 monomials, and its 2^n x 2^n matrix, for the
-positivity witness, is assembled from the Jordan-Wigner bit rules of the w_j.
-A multiset matching takes the nearest elements when no two share one, and
-imports scipy's assignment solver only when they do.
+Two bases: the Majorana monomials P_alpha = 2^{-n/2} w_1^a1 ... w_2n^a2n,
+on which multiplication by a Majorana and the Fock maps are signed
+permutations, and the Hermitian basis Q_alpha = i^{k(k-1)/2} P_alpha
+(k = |alpha|) of third quantisation (Prosen, NJP 10, 043026 (2008)), in
+which a Lindbladian is real.  The Lindblad generator, from K and the Lindblad
+vectors alone, and the quadratic form of the structure matrix are each a sum
+of two bit flips, so one scatter builds either on one parity sector, in
+Q_alpha; no 4^n x 4^n matrix is formed.  The checks compare the two per
+sector and read the kernel off one real SVD per sector and the spectrum off
+the 2n+1 diagonal degree blocks, as each sector block is triangular in the
+Majorana degree.  Every check takes the generator it checks, built once by
+`build_superoperator`.  The steady state's two-point functions are its
+degree-2 coefficients; its 2^n x 2^n matrix, for the positivity witness,
+comes from the Jordan-Wigner bit rules of the w_j.  A multiset matching
+imports scipy's assignment solver only when two nearest elements clash.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 from .errors import BuildInvariantViolated, InputError, TooLarge
 from .model import QuadraticLindbladModel, StructureMatrix, odd_sector_structure_matrix
 from .spectra import SpectrumEnumeration
-from .tolerances import ORACLE_TOL_KERNEL, ORACLE_TOL_POS, ORACLE_TOL_RANK, ORACLE_TOL_TRACE
+from .tolerances import ORACLE_TOL_KERNEL, ORACLE_TOL_POS, ORACLE_TOL_TRACE
 
 DEFAULT_NMAX = 5
 
@@ -49,10 +48,13 @@ def check_size(n: int):
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Dense matrix of rho -> L rho on the Majorana-monomial basis P_alpha."""
+    """The Lindblad generator rho -> L rho on its two parity sectors: even and
+    odd are its complex sector blocks in the Hermitian basis Q_alpha, each in
+    order of alpha.  It has no entry between the sectors."""
 
     n: int
-    matrix: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
     trace_preservation_residual: float
 
 
@@ -70,51 +72,64 @@ def _jordan_wigner_signs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 1 - 2 * (below % 2), 1 - 2 * (above % 2)
 
 
-def _abs_max(mat: np.ndarray) -> float:
-    """np.abs(mat).max(), taken 256 rows at a time: the same value, without a
-    temporary the size of the whole matrix (128 MiB at n = 6)."""
-    rows = 256
-    return float(np.max([np.abs(mat[i:i + rows]).max() for i in range(0, len(mat), rows)]))
+def _two_flips(C: np.ndarray, values: np.ndarray, n: int, even: bool,
+               diagonal: float = 0.0) -> np.ndarray:
+    """diagonal + sum_{ts,jk} C[t, s, j, k] F_{t,j} F_{s,k} on the Hermitian
+    basis Q_alpha of the even (or odd) parity sector, the sector's block in
+    order of alpha.
+
+    Each map F_{t,j} flips bit j of alpha: it sends P_col to
+    values[t, j, col] P_{col ^ 2^j}.  So two maps keep the parity, and
+    column col of sum_{s,k} C[t, s, j, k] F_{s,k} has the entry
+    C[t, 0, j, k] values[0, k, col] + C[t, 1, j, k] values[1, k, col] at row
+    col ^ 2^k; F_{t,j} moves it to row col ^ 2^k ^ 2^j.  The block is
+    scattered on P_alpha, in O(d^2 4^n), and rephased to Q_alpha at the end:
+    the rephasing multiplies by +-1 and +-i, so it is exact.
+    """
+    d = 2 * n
+    sector = fock_parity_even(n) == even
+    cols = np.flatnonzero(sector)
+    local = np.cumsum(sector) - 1  # position of each sector alpha in the block
+    col_values = values[:, :, cols]
+    mid = cols ^ (1 << np.arange(d))[:, None]
+    out = np.diag(np.full(len(cols), diagonal, dtype=complex))
+    block_cols = np.arange(len(cols))
+    for t, j in np.ndindex(2, d):
+        combo = C[t, 0, j, :, None] * col_values[0] + C[t, 1, j, :, None] * col_values[1]
+        out[local[mid ^ (1 << j)], block_cols] += values[t, j][mid] * combo
+    phase = hermitian_phases(n)[sector]
+    out *= phase.conj()[:, None]
+    out *= phase
+    return out
 
 
 def build_superoperator(model: QuadraticLindbladModel) -> Superoperator:
-    """Scatter the Lindblad generator on the P_alpha basis, a 4^n x 4^n matrix,
-    from K and the Lindblad vectors alone.
+    """Scatter the Lindblad generator on the two parity sectors, from K and
+    the Lindblad vectors alone.
 
     Left and right multiplication by w_j, L_j and R_j, flip bit j of alpha
     with the sign of the bits below j (L_j) or above j (R_j) (third
     quantisation: Prosen, NJP 10, 043026 (2008)).  With H = i sum K_jk w_j w_k
     and M = sum_mu l_mu conj(l_mu)^T the generator is
-    sum_jk K_jk (L_j L_k - R_k R_j) + 2 M_jk L_j R_k - M_kj (L_j L_k + R_k R_j),
-    and each (j, k) moves column alpha to the row with bits j and k flipped.
-    tr P_alpha vanishes unless alpha = 0, so row 0 of a trace-preserving
-    generator vanishes (machine precision); a violation means the assembly
-    is broken.
+    sum_jk (K - M^T)_jk L_j L_k + 2 M_jk L_j R_k + (K - M)_jk R_j R_k,
+    a sum of two flips.  tr P_alpha vanishes unless alpha = 0, so row 0 of a
+    trace-preserving generator vanishes (machine precision); a violation
+    means the assembly is broken.
     """
     check_size(model.n)
     d = model.dim
     l = np.reshape(model.lindblad_vectors, (-1, d))
     M = l.T @ l.conj()
-    K = model.K
-    left, right = _jordan_wigner_signs(model.n)
-    cols = np.arange(4**model.n)
-    S = np.zeros((4**model.n, 4**model.n), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            after_k, after_j = cols ^ (1 << k), cols ^ (1 << j)
-            LL = left[j][after_k] * left[k]
-            RR = right[k][after_j] * right[j]
-            LR = left[j][after_k] * right[k]
-            S[after_k ^ (1 << j), cols] += (
-                (K[j, k] - M[k, j]) * LL - (K[j, k] + M[k, j]) * RR + 2 * M[j, k] * LR
-            )
-    scale = max(_abs_max(S), 1.0)
-    residual = float(np.abs(S[0]).max() / scale)
+    C = np.array([[model.K - M.T, 2 * M], [0 * M, model.K - M]])
+    values = np.stack(_jordan_wigner_signs(model.n))
+    even, odd = (_two_flips(C, values, model.n, is_even) for is_even in (True, False))
+    scale = max(np.abs(even).max(), np.abs(odd).max(), 1.0)
+    residual = float(np.abs(even[0]).max() / scale)
     if residual > ORACLE_TOL_TRACE:
         raise BuildInvariantViolated(
             f"superoperator is not trace-preserving: residual {residual:.3e}"
         )
-    return Superoperator(model.n, S, residual)
+    return Superoperator(model.n, even, odd, residual)
 
 
 def fock_operator(coeff: np.ndarray, n: int) -> np.ndarray:
@@ -164,49 +179,33 @@ def fock_parity_even(n: int) -> np.ndarray:
     return fock_degree(n) % 2 == 0
 
 
-def fock_majoranas(n: int) -> tuple[np.ndarray, np.ndarray]:
+def fock_majoranas(n: int) -> np.ndarray:
     """The 4n Hermitian Majorana maps a_p of the operator Fock space, each a
-    signed permutation: a_p sends P_col to values[p, col] P_{col ^ flips[p]}.
+    signed permutation: a_p sends P_col to values[p, col] P_{col ^ 2^(p mod 2n)}.
 
     a_j = (c_j + c_j')/sqrt2 and a_{2n+j} = i(c_j - c_j')/sqrt2 for j < 2n, the
     structure-matrix ordering; c_j clears bit j of alpha and c_j' sets it, both
     with the Jordan-Wigner sign (-1)^(alpha_1 + ... + alpha_j) of the bits below.
     """
     check_size(n)
-    d = 2 * n
-    bits = _alpha_bits(n)
     sign, _ = _jordan_wigner_signs(n)
     h = 1 / np.sqrt(2)
-    values = np.concatenate([sign * h + 0j, 1j * (sign * (2 * bits - 1)) * h])
-    flips = np.tile(1 << np.arange(d), 2)
-    return flips, values
+    return np.concatenate([sign * h + 0j, 1j * (sign * (2 * _alpha_bits(n) - 1)) * h])
 
 
 def quadratic_form_matrix(sm_A: np.ndarray, A0: float, n: int, even: bool) -> np.ndarray:
-    """sum_pq A_pq a_p a_q - A_0 on the P_alpha basis of the even (or odd)
-    parity sector, the sector's block in order of alpha.
+    """sum_pq A_pq a_p a_q - A_0 on the Hermitian basis Q_alpha of the even
+    (or odd) parity sector, the sector's block in order of alpha.
 
     Each a_p flips one bit of alpha, so the form keeps the parity and is the
-    direct sum of its two sector blocks.  Scattered from `fock_majoranas` in
-    O((4n)^2 4^n): column col of sum_q A_pq a_q has the entry
-    A_pj a_j + A_p,j+2n a_{j+2n} at row col ^ flips[j], and a_p moves it to
-    row col ^ flips[j] ^ flips[p].  The arithmetic is that of the dense loop
+    direct sum of its two sector blocks, each a `_two_flips` scatter with the
+    maps (a_j, a_{j+2n}) and A as C.  Its arithmetic is that of the dense loop
     -A_0 + sum_p a_p @ (sum_q A_pq a_q) in the same order, so the block equals
-    the dense loop's bit for bit.
+    the dense loop's, rephased, bit for bit.
     """
-    flips, values = fock_majoranas(n)
     d = 2 * n
-    sector = fock_parity_even(n) == even
-    cols = np.flatnonzero(sector)
-    local = np.cumsum(sector) - 1  # position of each sector alpha in the block
-    col_values = values[:, cols]
-    mid = cols ^ flips[:d, None]
-    out = -A0 * np.eye(len(cols), dtype=complex)
-    block_cols = np.arange(len(cols))
-    for p in range(2 * d):
-        combo = sm_A[p, :d, None] * col_values[:d] + sm_A[p, d:, None] * col_values[d:]
-        out[local[mid ^ flips[p]], block_cols] += values[p][mid] * combo
-    return out
+    C = sm_A.reshape(2, d, 2, d).transpose(0, 2, 1, 3)
+    return _two_flips(C, fock_majoranas(n).reshape(2, d, -1), n, even, -A0)
 
 
 @dataclass(frozen=True)
@@ -241,12 +240,10 @@ class QuadraticFormReport:
         """The 2n+1 diagonal blocks of degree k = 0..2n, of size C(2n, k):
         from the even block for even k, from the odd block for odd k."""
         degree = fock_degree(self.n)
-        sectors = (self.even, degree[degree % 2 == 0]), (self.odd, degree[degree % 2 == 1])
         blocks = []
         for k in range(2 * self.n + 1):
-            sector, sector_degree = sectors[k % 2]
-            idx = np.flatnonzero(sector_degree == k)
-            blocks.append(sector[np.ix_(idx, idx)])
+            idx = np.flatnonzero(degree[degree % 2 == k % 2] == k)
+            blocks.append((self.odd if k % 2 else self.even)[np.ix_(idx, idx)])
         return blocks
 
     def eigenvalues(self) -> np.ndarray:
@@ -256,45 +253,33 @@ class QuadraticFormReport:
         return np.concatenate([np.linalg.eigvals(b) for b in self.degree_blocks()])
 
 
-def _forbidden_couplings(degree: np.ndarray, step: int) -> np.ndarray:
-    """Mask of the couplings from column degree to row degree other than
-    keeping it or changing it by `step`."""
-    diff = degree[:, None] - degree[None, :]
-    return (diff != 0) & (diff != step)
-
-
 def verify_quadratic_form(sup: Superoperator, structure: StructureMatrix) -> QuadraticFormReport:
     """Compare the generator sup with the quadratic form of the structure
-    matrix in the Fock maps, per parity sector; then rephase each sector block
-    to the Hermitian basis Q_alpha = i^{k(k-1)/2} P_alpha, where a Lindbladian
-    is real (third quantisation: Prosen, NJP 10, 043026 (2008)), and measure
-    how far the real blocks are from degree-triangular.  Every term of the
-    generator flips 0 or 2 bits of alpha, so it has no entry between the
-    sectors.  The rephasing multiplies by +-1 and +-i, so it is exact."""
+    matrix in the Fock maps, per parity sector, in the Hermitian basis
+    Q_alpha = i^{k(k-1)/2} P_alpha, where a Lindbladian is real (third
+    quantisation: Prosen, NJP 10, 043026 (2008)); then measure how far the
+    real blocks are from degree-triangular."""
     n = sup.n
-    even = fock_parity_even(n)
-    phase = hermitian_phases(n)
     degree = fock_degree(n)
-    scale = max(_abs_max(sup.matrix), 1.0)
+    scale = max(np.abs(sup.even).max(), np.abs(sup.odd).max(), 1.0)
 
-    def check_sector(is_even, A, step):
-        """(residual, imaginary, leak, real block) of one sector, rephased
-        in place; its sector-sized temporaries are freed before the next
-        sector's."""
-        sector = even == is_even
-        block = sup.matrix[np.ix_(sector, sector)]
+    def check_sector(block, is_even, A, step):
+        """(residual, imaginary, leak, real block) of one sector, the leak over
+        the couplings that neither keep the degree nor change it by step; its
+        temporaries are freed before the next sector's."""
         form = quadratic_form_matrix(A, structure.A0, n, is_even)
-        residual = _abs_max(np.subtract(block, form, out=form))
+        residual = float(np.abs(np.subtract(block, form, out=form)).max())
         del form
-        block *= np.outer(phase[sector].conj(), phase[sector])
         real = np.ascontiguousarray(block.real)
-        forbidden = real[_forbidden_couplings(degree[sector], step)]
+        sector_degree = degree[(degree % 2 == 0) == is_even]
+        diff = sector_degree[:, None] - sector_degree[None, :]
+        forbidden = real[(diff != 0) & (diff != step)]
         return (residual, float(np.abs(block.imag).max()) / scale,
                 float(np.abs(forbidden).max(initial=0.0)) / scale, real)
 
     residual, imaginary, leak, real = zip(
-        check_sector(True, structure.A, 2),
-        check_sector(False, odd_sector_structure_matrix(structure), -2),
+        check_sector(sup.even, True, structure.A, 2),
+        check_sector(sup.odd, False, odd_sector_structure_matrix(structure), -2),
     )
     return QuadraticFormReport(n, *residual, max(imaginary), max(leak), *real)
 
@@ -478,26 +463,3 @@ def check_spectrum(spectrum: SpectrumEnumeration, match: MultisetMatch) -> Spect
         int(np.count_nonzero(defective)),
         int(np.count_nonzero((counts != dims)[defective])),
     )
-
-
-def largest_jordan_block_at(S: np.ndarray, lam: complex, multiplicity: int) -> int:
-    """Size of the largest Jordan block of S in the eigenvalue cluster at lam.
-
-    Rank staircase of (S - lam)^k with relative SVD thresholding; stops when
-    the nullity stops growing or reaches the algebraic multiplicity.
-    """
-    d = S.shape[0]
-    Y = S - lam * np.eye(d)
-    prev = 0
-    power = np.eye(d, dtype=complex)
-    for k in range(1, multiplicity + 1):
-        power = power @ Y
-        sv = np.linalg.svd(power, compute_uv=False)
-        rank = int(np.sum(sv > ORACLE_TOL_RANK * max(sv[0], 1.0)))
-        nullity = d - rank
-        if nullity == prev:
-            return k - 1
-        if nullity >= multiplicity:
-            return k
-        prev = nullity
-    return multiplicity

@@ -64,11 +64,9 @@ VERIFY_SPECTRUM_MAX = 1e-7
 VERIFY_COVARIANCE_MAX = 1e-7
 # `analyze` warns physicality_bound_exceeded when |4Z| exceeds this
 PHYSICALITY_BOUND = 1 + 1e-7
-# relative SVD rank cut of the oracle's dense Jordan-block staircase
-ORACLE_TOL_RANK = 1e-7
-# relative SVD cut of the oracle's kernel of the dense generator
+# relative SVD cut of the oracle's kernel of the generator's sector blocks
 ORACLE_TOL_KERNEL = 1e-9
 # the oracle's steady state counts as positive when no eigenvalue is below -this
 ORACLE_TOL_POS = 1e-9
-# largest trace-preservation residual of the dense generator, relative to max|S|
+# largest trace-preservation residual of the oracle's generator, relative to max|S|
 ORACLE_TOL_TRACE = 1e-10

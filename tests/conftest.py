@@ -1,5 +1,5 @@
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -179,18 +179,48 @@ def dense_quadratic_form(sm_A, A0, maps):
     return out
 
 
-def full_quadratic_form(sm_A, A0, n):
-    """sum_pq A_pq a_p a_q - A_0 on the whole operator space, the direct sum
-    of the two sector blocks of `oracle.quadratic_form_matrix` (the form keeps
-    the parity)."""
-    from liouv import oracle
-
+def on_fock(even_block, odd_block, n):
+    """The 4^n x 4^n matrix on the P_alpha basis whose parity-sector blocks,
+    in the Hermitian basis Q_alpha = i^{k(k-1)/2} P_alpha, are the two given:
+    each rotated back to P_alpha (exactly, as the phases are +-1 and +-i) and
+    placed on its sector."""
     even = oracle.fock_parity_even(n)
+    phase = oracle.hermitian_phases(n)
     out = np.zeros((4**n, 4**n), dtype=complex)
-    for is_even in (True, False):
-        sector = even == is_even
-        out[np.ix_(sector, sector)] = oracle.quadratic_form_matrix(sm_A, A0, n, is_even)
+    for block, sector in ((even_block, even), (odd_block, ~even)):
+        out[np.ix_(sector, sector)] = block * np.outer(phase[sector], phase[sector].conj())
     return out
+
+
+def dense_generator(sup):
+    """The generator of an oracle.Superoperator on the whole P_alpha basis,
+    reassembled from its two sector blocks: a test-only reference, since the
+    package never forms the 4^n x 4^n matrix."""
+    return on_fock(sup.even, sup.odd, sup.n)
+
+
+def full_quadratic_form(sm_A, A0, n):
+    """sum_pq A_pq a_p a_q - A_0 on the whole P_alpha basis, reassembled from
+    the two sector blocks of `oracle.quadratic_form_matrix` (the form keeps
+    the parity)."""
+    return on_fock(*(oracle.quadratic_form_matrix(sm_A, A0, n, e) for e in (True, False)), n)
+
+
+def on_sectors(S, n):
+    """The sector blocks of S, a map on the whole P_alpha basis, rephased to
+    the Hermitian basis Q_alpha; S's entries between the sectors are
+    dropped."""
+    even = oracle.fock_parity_even(n)
+    phase = oracle.hermitian_phases(n)
+    return tuple(S[np.ix_(sector, sector)] * np.outer(phase[sector].conj(), phase[sector])
+                 for sector in (even, ~even))
+
+
+def with_generator(sup, S):
+    """sup with its generator replaced by S, given on the whole P_alpha basis:
+    how a test plants a perturbation, as `dense_generator(sup) + eps * X`."""
+    even, odd = on_sectors(S, sup.n)
+    return replace(sup, even=even, odd=odd)
 
 
 _SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -268,8 +298,39 @@ def to_fock(S_vec, n):
 
 
 def reference_superoperator(model):
-    """The kron build rotated to the P_alpha basis, as an oracle.Superoperator."""
-    return oracle.Superoperator(model.n, to_fock(kron_superoperator(model), model.n), 0.0)
+    """The sector blocks of the kron build rotated to P_alpha, in the
+    Hermitian basis, as an oracle.Superoperator; the kron build's entries
+    between the sectors vanish to rounding."""
+    n = model.n
+    S = to_fock(kron_superoperator(model), n)
+    even = oracle.fock_parity_even(n)
+    scale = max(np.abs(S).max(), 1.0)
+    assert np.abs(S[np.ix_(even, ~even)]).max(initial=0.0) < 1e-15 * scale
+    assert np.abs(S[np.ix_(~even, even)]).max(initial=0.0) < 1e-15 * scale
+    return oracle.Superoperator(n, *on_sectors(S, n), 0.0)
+
+
+def largest_jordan_block_at(S, lam, multiplicity, tol_rank=1e-7):
+    """Size of the largest Jordan block of S in the eigenvalue cluster at lam.
+
+    Rank staircase of (S - lam)^k with relative SVD thresholding; stops when
+    the nullity stops growing or reaches the algebraic multiplicity.
+    """
+    d = S.shape[0]
+    Y = S - lam * np.eye(d)
+    prev = 0
+    power = np.eye(d, dtype=complex)
+    for k in range(1, multiplicity + 1):
+        power = power @ Y
+        sv = np.linalg.svd(power, compute_uv=False)
+        rank = int(np.sum(sv > tol_rank * max(sv[0], 1.0)))
+        nullity = d - rank
+        if nullity == prev:
+            return k - 1
+        if nullity >= multiplicity:
+            return k
+        prev = nullity
+    return multiplicity
 
 
 def pipeline_stage(model):

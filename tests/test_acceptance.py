@@ -24,6 +24,8 @@ from liouv.randmodel import random_model
 from liouv.rapidity import jordan_decompose, stability_check
 from liouv.spectra import classify_ness, enumerate_spectrum, ness_covariance
 
+from conftest import dense_generator
+
 MODELS = files("liouv") / "models"
 
 
@@ -95,7 +97,7 @@ def _spectrum_deviation(model):
     sup = oracle.build_superoperator(model)
     return oracle.match_multisets(
         oracle.eigenvalue_multiset_from_enumeration(spec.entries),
-        np.linalg.eigvals(sup.matrix),
+        np.linalg.eigvals(dense_generator(sup)),
     ).deviation
 
 

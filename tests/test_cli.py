@@ -21,7 +21,7 @@ import liouv.oracle
 from liouv.analysis import analyze, build_report, dumps_report, render_text, write_report
 from liouv.cli import main
 from liouv.io import load_model, model_to_dict, parse_model_dict
-from liouv.errors import ParseError
+from liouv.errors import InputError, ParseError
 from liouv.model import validate_model
 from liouv.randmodel import random_axis_model, random_model
 from liouv.tolerances import Tolerances
@@ -147,6 +147,39 @@ def test_analyze_non_finite_model_exit_2(tmp_path):
     assert "NaN or infinite" in res.stderr
     bad.write_text('{"n": 1, "K": [[0, 0], [0, 0]], "lindblad": [[Infinity, 0]]}')
     assert main(["analyze", str(bad)]) == 2
+
+
+OVERFLOW_MODELS = {
+    "M": '{"n": 1, "K": [[0, 0], [0, 0]], "lindblad": [[1e200, 0]]}',
+    "K_and_M": '{"n": 1, "K": [[0, 1e308], [-1e308, 0]], "lindblad": [[1e308, 0]]}',
+    "K": '{"n": 1, "K": [[0, 1e308], [-1e308, 0]], "lindblad": []}',
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+@pytest.mark.parametrize("name", list(OVERFLOW_MODELS))
+def test_overflowing_model_exit_2(tmp_path, capsys, command, name):
+    """Finite entries whose antisymmetrized K, M = l conj(l)^T or X overflow
+    are an input error, not a LinAlgError (or, under the overflow warning as
+    an error, a RuntimeWarning) with a traceback."""
+    bad = tmp_path / f"{name}.json"
+    bad.write_text(OVERFLOW_MODELS[name])
+    assert main([command, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.match(r"error: .* overflows", captured.err)
+
+
+@pytest.mark.parametrize("exponent, quantity", [
+    (153.55, "A_0 = tr X"), (153.75, "X = 2K"), (154, "bath matrix M"), (307, "bath matrix M"),
+])
+def test_overflowing_derived_matrix_is_an_input_error(exponent, quantity):
+    """random_model(2, 1) with its Lindblad vectors scaled by 10^exponent: the
+    first derived quantity that overflows is named."""
+    model = random_model(2, 1)
+    scaled = validate_model(2, model.K, [v * 10.0**exponent for v in model.lindblad_vectors])
+    with pytest.raises(InputError, match=f"{re.escape(quantity)}.* overflows"):
+        analyze(scaled)
 
 
 def test_analyze_parse_error_has_field(tmp_path):

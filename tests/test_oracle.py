@@ -33,17 +33,20 @@ from liouv.tolerances import (
 from conftest import (
     build_fock_maps,
     critical_plus_decoupled,
+    dense_generator,
     dense_quadratic_form,
     fock_basis_transform,
     full_quadratic_form,
     hamiltonian_matrix,
     ising_pair_model,
     kron_majoranas,
-    kron_superoperator,
+    largest_jordan_block_at,
+    on_sectors,
     planted_model,
     reference_superoperator,
     single_qubit_model,
     to_fock,
+    with_generator,
 )
 
 
@@ -84,13 +87,14 @@ def test_majorana_size_limit():
 
 
 def _dense_majoranas(n):
-    """The maps of `oracle.fock_majoranas` as dense 4^n x 4^n matrices."""
-    flips, values = oracle.fock_majoranas(n)
+    """The maps of `oracle.fock_majoranas` as dense 4^n x 4^n matrices: a_p
+    flips bit p mod 2n."""
+    values = oracle.fock_majoranas(n)
     cols = np.arange(4**n)
     out = []
-    for flip, vals in zip(flips, values):
+    for p, vals in enumerate(values):
         a = np.zeros((4**n, 4**n), dtype=complex)
-        a[cols ^ flip, cols] = vals
+        a[cols ^ (1 << p % (2 * n)), cols] = vals
         out.append(a)
     return out
 
@@ -127,8 +131,9 @@ def test_fock_majoranas_match_dense_reference(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_quadratic_form_matrix_matches_dense_loop(n):
     """The scatter performs the dense loop's floating-point operations in the
-    same order: each sector block equals the dense loop's bit for bit, on
-    random and axis models, with the even-sector and the driving-flipped
+    same order, from -A_0 1: each sector block equals the dense loop's,
+    rephased to the Hermitian basis (exactly, by +-1 and +-i), bit for bit,
+    on random and axis models, with the even-sector and the driving-flipped
     structure matrix; the dense loop has no entry between the sectors."""
     from liouv.model import odd_sector_structure_matrix
 
@@ -139,12 +144,9 @@ def test_quadratic_form_matrix_matches_dense_loop(n):
             sm = build_structure_matrix(m, build_bath_matrices(m))
             for A in (sm.A, odd_sector_structure_matrix(sm)):
                 dense = dense_quadratic_form(A, sm.A0, maps)
-                for is_even in (True, False):
-                    sector = even == is_even
+                for is_even, block in zip((True, False), on_sectors(dense, n)):
                     np.testing.assert_array_equal(
-                        oracle.quadratic_form_matrix(A, sm.A0, n, is_even),
-                        dense[np.ix_(sector, sector)],
-                    )
+                        oracle.quadratic_form_matrix(A, sm.A0, n, is_even), block)
                 assert not dense[np.ix_(even, ~even)].any()
                 assert not dense[np.ix_(~even, even)].any()
 
@@ -204,12 +206,10 @@ def test_hermitian_basis_blocks_are_real(model):
     rep = oracle.verify_quadratic_form(oracle.build_superoperator(model), _structure(model))
     assert rep.imaginary_residual < 1e-13
     assert rep.even.dtype == rep.odd.dtype == np.float64
-    even = oracle.fock_parity_even(model.n)
-    Q = fock_basis_transform(model.n) * oracle.hermitian_phases(model.n)
-    S_herm = Q.conj().T @ kron_superoperator(model) @ Q
-    scale = max(np.abs(S_herm).max(), 1.0)
-    np.testing.assert_allclose(rep.even, S_herm[np.ix_(even, even)], rtol=0, atol=1e-13 * scale)
-    np.testing.assert_allclose(rep.odd, S_herm[np.ix_(~even, ~even)], rtol=0, atol=1e-13 * scale)
+    ref = reference_superoperator(model)
+    scale = max(np.abs(ref.even).max(), np.abs(ref.odd).max(), 1.0)
+    np.testing.assert_allclose(rep.even, ref.even, rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(rep.odd, ref.odd, rtol=0, atol=1e-13 * scale)
 
 
 def _reference_build_models():
@@ -231,27 +231,23 @@ REFERENCE_BUILD_MODELS = list(_reference_build_models())
 @pytest.mark.parametrize("model", [m for _, m in REFERENCE_BUILD_MODELS],
                          ids=[name for name, _ in REFERENCE_BUILD_MODELS])
 def test_superoperator_matches_the_kron_reference(model):
-    """The generator scattered on P_alpha is T^dag S T of the vec-basis kron
-    build.  The reference itself keeps parity and Hermiticity: it has no entry
-    between the sectors and is real in the basis Q_alpha, the two certificates
-    that the direct build meets by construction."""
-    n = model.n
+    """The generator's sector blocks are those of T^dag S T of the vec-basis
+    kron build, in the Hermitian basis.  The reference itself keeps parity
+    and Hermiticity: it has no entry between the sectors (checked by
+    `reference_superoperator`) and is real in the basis Q_alpha, the two
+    certificates that the direct build meets by construction."""
     sup = oracle.build_superoperator(model)
-    ref = reference_superoperator(model).matrix
-    scale = max(np.abs(ref).max(), 1.0)
-    np.testing.assert_allclose(sup.matrix, ref, rtol=0, atol=1e-13 * scale)
-    even = oracle.fock_parity_even(n)
-    assert not sup.matrix[np.ix_(even, ~even)].any() and not sup.matrix[np.ix_(~even, even)].any()
-    assert np.abs(ref[np.ix_(even, ~even)]).max() < 1e-15 * scale
-    assert np.abs(ref[np.ix_(~even, even)]).max() < 1e-15 * scale
-    phase = oracle.hermitian_phases(n)
-    assert np.abs((ref * np.outer(phase.conj(), phase)).imag).max() < 1e-15 * scale
+    ref = reference_superoperator(model)
+    scale = max(np.abs(ref.even).max(), np.abs(ref.odd).max(), 1.0)
+    for block, ref_block in ((sup.even, ref.even), (sup.odd, ref.odd)):
+        np.testing.assert_allclose(block, ref_block, rtol=0, atol=1e-13 * scale)
+        assert np.abs(ref_block.imag).max() < 1e-15 * scale
 
 
 def test_zero_model_superoperator():
     m = validate_model(1, np.zeros((2, 2)), [])
     sup = oracle.build_superoperator(m)
-    assert np.abs(sup.matrix).max() == 0.0
+    assert not sup.even.any() and not sup.odd.any()
 
 
 def test_superoperator_trace_preservation():
@@ -266,15 +262,15 @@ def test_qubit_superoperator_eigenvalues():
     sup = oracle.build_superoperator(m)
     betas = [b.rapidity for b in jf.blocks]
     expected = np.array([0, -2 * betas[0], -2 * betas[1], -2 * (betas[0] + betas[1])])
-    actual = np.linalg.eigvals(sup.matrix)
+    actual = np.linalg.eigvals(dense_generator(sup))
     assert oracle.match_multisets(expected, actual).deviation < 1e-8
 
 
 def test_ising_pair_kernel_dimension():
     m = ising_pair_model()
     sup = oracle.build_superoperator(m)
-    assert sup.matrix.shape == (16, 16)
-    s = np.linalg.svd(sup.matrix, compute_uv=False)
+    assert sup.even.shape == sup.odd.shape == (8, 8)
+    s = np.linalg.svd(dense_generator(sup), compute_uv=False)
     assert int(np.sum(s < 1e-9)) == 2
 
 
@@ -303,7 +299,7 @@ def test_sector_eigenvalues_match_full_eigvals(n):
     for m in (random_model(n, 40 + n), random_axis_model(n, 40 + n, 1)):
         sup = oracle.build_superoperator(m)
         rep = oracle.verify_quadratic_form(sup, build_structure_matrix(m, build_bath_matrices(m)))
-        full = np.linalg.eigvals(sup.matrix)
+        full = np.linalg.eigvals(dense_generator(sup))
         assert oracle.match_multisets(rep.eigenvalues(), full).deviation < 1e-10
 
 
@@ -396,9 +392,9 @@ def test_degree_leak_sees_a_degree_lowering_term(n):
     X = 1j * w[0] @ w[1]
     eye = np.eye(2**n)
     anticommutator = to_fock(np.kron(eye, X) + np.kron(X.T, eye), n)
-    perturbed = dataclasses.replace(sup, matrix=sup.matrix + eps * anticommutator)
+    perturbed = with_generator(sup, dense_generator(sup) + eps * anticommutator)
     rep = oracle.verify_quadratic_form(perturbed, _structure(model))
-    scale = max(np.abs(perturbed.matrix).max(), 1.0)
+    scale = max(np.abs(dense_generator(perturbed)).max(), 1.0)
     assert rep.imaginary_residual < 1e-13
     assert rep.degree_leak == pytest.approx(2 * eps / scale, rel=1e-6)
     assert rep.degree_leak > VERIFY_QUADRATIC_FORM_MAX
@@ -410,7 +406,7 @@ def test_given_superoperator_is_the_one_used():
     sm = build_structure_matrix(m, build_bath_matrices(m))
     sup = oracle.build_superoperator(m)
     assert oracle.verify_quadratic_form(sup, sm) == quadratic_form_report(m)
-    zero = dataclasses.replace(sup, matrix=np.zeros_like(sup.matrix))
+    zero = with_generator(sup, np.zeros((16, 16)))
     assert oracle.verify_quadratic_form(zero, sm).residual > 0.1
     on = oracle.oracle_ness(oracle.verify_quadratic_form(zero, sm))
     assert on.kernel_dim == 16
@@ -425,7 +421,7 @@ def test_single_structure_matrix_fails_on_odd_sector():
     sm = build_structure_matrix(m, bath)
     sup = oracle.build_superoperator(m)
     form = full_quadratic_form(sm.A, sm.A0, 1)
-    assert np.abs(sup.matrix - form).max() > 1.0
+    assert np.abs(dense_generator(sup) - form).max() > 1.0
 
 
 def test_oracle_ness_unique_stable():
@@ -506,7 +502,7 @@ def test_oracle_ness_state_is_a_stationary_density_matrix(kernel_dim, build):
     sup = oracle.build_superoperator(m)
     on = oracle.oracle_ness(oracle.verify_quadratic_form(sup, _structure(m)))
     assert on.kernel_dim == kernel_dim
-    S = sup.matrix
+    S = dense_generator(sup)
     rho = on.rho
     coeff = fock_basis_transform(m.n).conj().T @ rho.reshape(-1, order="F")
     assert np.abs(S @ coeff).max() <= 1e-10 * max(np.abs(S).max(), 1.0)
@@ -572,7 +568,7 @@ def _dense_reference_ness(sup):
     """Kernel and steady state from one complex SVD of the whole generator:
     P0 = R (L^dag R)^-1 L^dag applied to 1/2^n = 2^{-n/2} P_0."""
     n = sup.n
-    u, s, vh = np.linalg.svd(sup.matrix)
+    u, s, vh = np.linalg.svd(dense_generator(sup))
     null = s <= ORACLE_TOL_KERNEL * max(s[0], 1.0)
     kernel = vh[null].conj().T
     left = u[:, null].conj().T
@@ -587,9 +583,9 @@ def _generator(model):
 
 
 def _zero_generator(n):
-    """The superoperator of random_model(n, 0) with its matrix zeroed."""
+    """The superoperator of random_model(n, 0) with its generator zeroed."""
     sup, sm = _generator(random_model(n, 0))
-    return dataclasses.replace(sup, matrix=np.zeros_like(sup.matrix)), sm
+    return with_generator(sup, np.zeros((4**n, 4**n))), sm
 
 
 # (id, kernel dimension, generator and structure matrix)
@@ -646,7 +642,7 @@ def test_verify_fails_on_an_imaginary_hermitian_basis_part(monkeypatch, capsys):
 
     def perturbed_superoperator(model):
         sup = real_build(model)
-        return dataclasses.replace(sup, matrix=sup.matrix + eps * commutator)
+        return with_generator(sup, dense_generator(sup) + eps * commutator)
 
     def perturbed_analyze(*args, **kwargs):
         result = real_analyze(*args, **kwargs)
@@ -686,7 +682,7 @@ def test_spectrum_multiset_fixtures():
         sup = oracle.build_superoperator(m)
         dev = oracle.match_multisets(
             oracle.eigenvalue_multiset_from_enumeration(spec.entries),
-            np.linalg.eigvals(sup.matrix),
+            np.linalg.eigvals(dense_generator(sup)),
         ).deviation
         assert dev < 1e-7
 
@@ -817,11 +813,13 @@ def test_check_spectrum_catches_a_moved_mean_and_a_wrong_count():
 
 
 def test_defective_superoperator_jordan_block():
-    m = single_qubit_model()  # rapidity 2 with a size-2 block
+    """Rapidity 2 with a size-2 block: the eigenvalue -4 has occupation number
+    1, so it is the odd sector's; 0 and -8 are the even sector's."""
+    m = single_qubit_model()
     sup = oracle.build_superoperator(m)
-    assert oracle.largest_jordan_block_at(sup.matrix, -4.0, 2) == 2
-    assert oracle.largest_jordan_block_at(sup.matrix, 0.0, 1) == 1
-    assert oracle.largest_jordan_block_at(sup.matrix, -8.0, 1) == 1
+    assert largest_jordan_block_at(sup.odd, -4.0, 2) == 2
+    assert largest_jordan_block_at(sup.even, 0.0, 1) == 1
+    assert largest_jordan_block_at(sup.even, -8.0, 1) == 1
 
 
 def _fock_vector_to_operator(n, coeff):
@@ -858,7 +856,7 @@ def test_zero_mode_descriptor_realizes_dense_kernel_direction():
 
     nmb = build_V(jf, ds.Z)
     maps = build_fock_maps(2)
-    S_fock = oracle.build_superoperator(m).matrix
+    S_fock = dense_generator(oracle.build_superoperator(m))
     parity = np.diag(maps.parity).real
     trace_dual = np.zeros(16)
     trace_dual[0] = 2.0
@@ -911,7 +909,7 @@ def test_imaginary_pair_combination_is_stationary_trace_zero():
 
     nmb = build_V(jf, ds.Z)
     maps = build_fock_maps(3)
-    S_fock = oracle.build_superoperator(model).matrix
+    S_fock = dense_generator(oracle.build_superoperator(model))
     parity = np.diag(maps.parity).real
     trace_dual = np.zeros(64)
     trace_dual[0] = 2**1.5
@@ -933,7 +931,9 @@ def test_imaginary_pair_combination_is_stationary_trace_zero():
 def test_merged_collision_blocks_match_dense():
     """Eigenvalue collisions across occupation sectors: the merged view's max
     block is reported as a lower bound, but the invariant subspaces direct-sum
-    the whole space, so it actually equals the dense largest block."""
+    the whole space, so it actually equals the dense largest block, the larger
+    of the two parity sectors' (an even occupation number is the even
+    sector's)."""
     G, th = 1.0, np.pi / 3
     h = G * np.cos(th)
     K = np.zeros((4, 4))
@@ -947,11 +947,16 @@ def test_merged_collision_blocks_match_dense():
     bath, X, sm, jf, ds = full_stage(m)
     spec = enumerate_spectrum(jf)
     sup = oracle.build_superoperator(m)
-    collisions = [e for e in spec.merged if e.contributors > 1]
+    collisions = [g for g, e in enumerate(spec.merged) if e.contributors > 1]
     assert collisions, "model must produce cross-sector collisions"
-    assert any(e.max_jordan_block > 1 for e in collisions)
-    for e in collisions:
-        dense = oracle.largest_jordan_block_at(sup.matrix, e.lam, e.total_dim)
+    assert any(spec.merged[g].max_jordan_block > 1 for g in collisions)
+    group = np.repeat(np.arange(len(spec.merged)), spec.contributors)
+    odd = spec.occupations().sum(axis=1) % 2
+    for g in collisions:
+        e = spec.merged[g]
+        dims = [int(spec.subspace_dim[(group == g) & (odd == parity)].sum()) for parity in (0, 1)]
+        dense = max(largest_jordan_block_at(block, e.lam, dim)
+                    for block, dim in zip((sup.even, sup.odd), dims))
         assert dense == e.max_jordan_block
 
 
@@ -1020,3 +1025,21 @@ def test_cached_bases_still_check_the_size_limit(monkeypatch):
         oracle.fock_majoranas(2)
     with pytest.raises(TooLarge):
         oracle.build_superoperator(ising_pair_model())
+
+
+def test_generator_build_forms_no_dense_generator(monkeypatch):
+    """At n = 6 each complex sector block is 64 MiB; the traced peak of the
+    build stays below 256 MiB, the size of the one dense 4^n x 4^n complex
+    generator."""
+    import tracemalloc
+
+    monkeypatch.setenv("LIOUV_NMAX", "6")
+    model = random_model(6, 1)
+    tracemalloc.start()
+    try:
+        sup = oracle.build_superoperator(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sup.even.shape == sup.odd.shape == (2048, 2048)
+    assert peak < 256 * 2**20, peak / 2**20
