@@ -1,18 +1,19 @@
 """Full pipeline: model -> rapidities -> driving -> normal modes -> spectrum/NESS.
 
 `analyze` returns the rich result objects; `build_report` flattens them into a
-JSON-native dict (complex numbers as [re, im] pairs, deterministic orderings)
-that round-trips through serialization unchanged; `dumps_report` writes it as
-`json.dumps(report, indent=2)` does, and `write_report` streams the same text to
-a file; `render_text` produces the human-readable table view.
+dict of sections with deterministic orderings, whose matrices and spectrum
+records stay numpy arrays copied from the result; `dumps_report` writes it as
+`json.dumps(report, indent=2)` writes the same dict with every array as the
+lists it stands for (complex numbers as [re, im] pairs, records as dicts), and
+`write_report` streams the same text to a file; `render_text` produces the
+human-readable table view from the same arrays.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
-from itertools import chain, repeat
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _jstr
 
 import numpy as np
@@ -126,18 +127,43 @@ def _c(z) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _cmat(m) -> list:
-    """Nested lists of [re, im] pairs, each a Python float as float() gives it."""
-    m = np.asarray(m, dtype=complex)
-    return np.stack([m.real, m.imag], -1).tolist()
+def _cmat(m) -> np.ndarray:
+    return np.array(m, dtype=complex)
 
 
-def _rmat(m) -> list:
-    return np.asarray(m, dtype=float).tolist()
+def _rmat(m) -> np.ndarray:
+    return np.array(m, dtype=float)
+
+
+def _pairs(z: np.ndarray) -> np.ndarray:
+    """[re, im] float pairs of the complex array z, on a new last axis."""
+    return np.stack([z.real, z.imag], -1)
+
+
+def _records(columns: dict) -> np.ndarray:
+    """Structured array with one field per column, in order: field k holds
+    columns[k], its item shape the column's shape past the first axis."""
+    count = len(next(iter(columns.values())))
+    out = np.empty(count, [(k, v.dtype, v.shape[1:]) for k, v in columns.items()])
+    for k, v in columns.items():
+        out[k] = v
+    return out
 
 
 def build_report(result: AnalysisResult, full_spectrum: bool = False) -> dict:
-    """JSON-native report; every numerical field finite, orderings deterministic."""
+    """The report as a dict of sections; every numerical field finite,
+    orderings deterministic.
+
+    Scalars and short lists are JSON-native.  The large leaves are numpy
+    arrays copied from the result: each matrix is a float array, or a complex
+    array (M, the Lindblad vectors, the covariance) that stands for its
+    [re, im] pairs; `spectrum.merged` and `spectrum.entries` are structured
+    arrays whose fields are the record keys, in order, with `lambda` a (2,)
+    float field and `occupation` an (L, 3) int field of (j, k, m) triples.
+    Dimensions past int64 are Python ints in an object field.
+    `dumps_report` writes the report as json writes the lists and dicts the
+    arrays stand for; `json.loads(dumps_report(report))` is that plain form.
+    """
     r = result
     model = r.model
     rap = [
@@ -153,7 +179,7 @@ def build_report(result: AnalysisResult, full_spectrum: bool = False) -> dict:
         "input": {
             "n": model.n,
             "K": _rmat(model.K),
-            "lindblad": _cmat(model.lindblad_vectors),
+            "lindblad": _cmat(model.lindblad_vectors).reshape(-1, model.dim),
         },
         "tolerances": {k: (int(v) if isinstance(v, int) else float(v))
                        for k, v in asdict(r.tolerances).items()},
@@ -219,138 +245,155 @@ def build_report(result: AnalysisResult, full_spectrum: bool = False) -> dict:
             "extremes": extremes,
             "count": len(s.entries),
             "total_dim": int(s.total_dim),
-            "merged": [
-                {
-                    "lambda": [re, im],
-                    "total_dim": dim,
-                    "max_jordan_block": blk,
-                    "lower_bound": contributors > 1,
-                }
-                for re, im, dim, blk, contributors in zip(
-                    s.merged_lam.real.tolist(),
-                    s.merged_lam.imag.tolist(),
-                    s.merged_dim.tolist(),
-                    s.merged_block.tolist(),
-                    s.contributors.tolist(),
-                )
-            ],
+            "merged": _records({
+                "lambda": _pairs(s.merged_lam),
+                "total_dim": s.merged_dim,
+                "max_jordan_block": s.merged_block,
+                "lower_bound": s.contributors > 1,
+            }),
         }
         if full_spectrum:
-            spec["entries"] = [
-                {
-                    "lambda": [re, im],
-                    "occupation": [[j, k, m] for (j, k), m in zip(s.labels, occ)],
-                    "subspace_dim": dim,
-                    "max_jordan_block": blk,
-                }
-                for re, im, occ, dim, blk in zip(
-                    s.lam.real.tolist(),
-                    s.lam.imag.tolist(),
-                    s.occupations().tolist(),
-                    s.subspace_dim.tolist(),
-                    s.max_jordan_block.tolist(),
-                )
-            ]
+            occupations = s.occupations()
+            labels = np.broadcast_to(np.reshape(s.labels, (1, -1, 2)), occupations.shape + (2,))
+            spec["entries"] = _records({
+                "lambda": _pairs(s.lam),
+                "occupation": np.concatenate([labels, occupations[..., None]], axis=-1),
+                "subspace_dim": s.subspace_dim,
+                "max_jordan_block": s.max_jordan_block,
+            })
         report["spectrum"] = spec
     return report
 
 
-def _template(values, nl: str):
-    """(template, columns): one %-template that writes each of `values` at
-    indent `nl`, and the columns of leaf values it takes, in order.
-
-    None unless the values share one shape, with every leaf column of one
-    exact type: finite float, int, bool, str or None.  Anything else (NaN,
-    np.float64, True among ints, ragged lists) is left to `_encode`.  A float
-    column is the only column whose items are floats; it is filled by `%s`
-    from `_float_reprs`.
-    """
-    kinds = set(map(type, values))
-    if len(kinds) != 1:
-        return None
-    kind = kinds.pop()
-    if kind is float:
-        return ("%s", [values]) if all(map(math.isfinite, values)) else None
-    if kind is int:
-        return "%d", [values]
-    if kind is bool:
-        return "%s", [list(map(("false", "true").__getitem__, values))]
-    if kind is str:
-        return "%s", [list(map(_jstr, values))]
-    if kind is type(None):
-        return "null", []
-    if kind is list:
-        sizes = set(map(len, values))
-        if len(sizes) != 1:
-            return None
-        brackets, keys = "[]", range(sizes.pop())
-        labels = [""] * len(keys)
-    elif kind is dict:
-        keys = set(map(tuple, values))
-        if len(keys) != 1:
-            return None
-        keys = keys.pop()
-        if not set(map(type, keys)) <= {str}:
-            return None
-        brackets, labels = "{}", [_jstr(k).replace("%", "%%") + ": " for k in keys]
-    else:
-        return None
-    if not labels:
-        return brackets, []
-    inner = nl + "  "
-    fields = [_template(list(map(kind.__getitem__, values, repeat(k))), inner) for k in keys]
-    if None in fields:
-        return None
-    body = ("," + inner).join(label + t for label, (t, _) in zip(labels, fields))
-    return brackets[0] + inner + body + nl + brackets[1], [c for _, cs in fields for c in cs]
-
-
 _MAGNITUDE_BITS = np.int64(2**63 - 1)  # every bit of a float64 but its sign
+_INF_BITS = np.int64(0x7FF << 52)  # the bits of inf; NaN magnitudes lie above
+_SMALL_INTS = 4096  # ints in [0, _SMALL_INTS] are written from one table per array
+_CHUNK = 4096  # array items joined per piece, so no array's text is held twice in full
 
 
-def _float_reprs(columns: list) -> list:
-    """`float.__repr__` of every float of the equal-length `columns` of finite
-    floats, as lists of strings shaped like `columns`.
+def _float_reprs(a: np.ndarray) -> np.ndarray:
+    """json's text of every float of `a`, flat, as an object array.
 
     The spectrum's coordinates are sums of a few rapidities, and matrices are
     symmetric or antisymmetric, so magnitudes repeat: repr runs once per
     distinct magnitude (bit pattern with the sign cleared), and a negative
-    float, -0.0 included, is '-' + the repr of its magnitude.
+    float, -0.0 included, is '-' + the repr of its magnitude.  NaN and the
+    infinities are written as json writes them.
     """
-    bits = np.array(columns, dtype=float).view(np.int64)
-    negative = bits < 0
+    bits = np.ascontiguousarray(a, dtype=np.float64).reshape(-1).view(np.int64)
     magnitudes, index = np.unique(bits & _MAGNITUDE_BITS, return_inverse=True)
-    reprs = list(map(float.__repr__, magnitudes.view(float).tolist()))
-    table = np.array(reprs + ["-" + r for r in reprs], dtype=object)
-    index = index.reshape(bits.shape)
-    index[negative] += len(reprs)
-    return table[index].tolist()
+    values = magnitudes.view(np.float64).tolist()
+    table = list(map(float.__repr__, values))
+    table += ["-" + r for r in table]
+    for i in range(int(np.searchsorted(magnitudes, _INF_BITS)), len(values)):
+        table[i], table[i + len(values)] = json.dumps(values[i]), json.dumps(-values[i])
+    index = index.reshape(-1)
+    index[bits < 0] += len(values)
+    return np.array(table, dtype=object)[index]
+
+
+def _int_strings(a: np.ndarray) -> np.ndarray:
+    """json's text of every int of `a`, flat, as an object array; small
+    non-negative ints (occupations, block sizes, dimensions) index one table."""
+    flat = a.ravel()
+    if flat.size and 0 <= flat.min() and flat.max() <= _SMALL_INTS:
+        return np.array(list(map(str, range(int(flat.max()) + 1))), dtype=object)[flat]
+    return np.array(list(map(str, flat.tolist())), dtype=object)
+
+
+def _json_scalar(x) -> str:
+    """json's text of one element of an object array, which must be a scalar:
+    a list or dict in an array cell would need the indented layout."""
+    if isinstance(x, (list, tuple, dict)):
+        raise TypeError(f"Object of type {type(x).__name__} in an array is not a JSON scalar")
+    return json.dumps(x)
+
+
+def _leaf_strings(a: np.ndarray) -> np.ndarray:
+    """json's text of the scalars of `a` as an object array of shape
+    (a.size, k): the k strings one element fills into its `_array_template`,
+    in order (a complex number its [re, im] pair, a record its fields')."""
+    if not a.size:
+        return np.empty((0, 0), object)
+    names = a.dtype.names
+    if names is not None:
+        fields = [_leaf_strings(a[k]).reshape(a.size, -1) for k in names]
+        return np.concatenate(fields, axis=1) if fields else np.empty((a.size, 0), object)
+    kind = a.dtype.kind
+    if kind == "c":
+        return _leaf_strings(_pairs(a)).reshape(a.size, 2)
+    if kind == "f":
+        strings = _float_reprs(a)
+    elif kind in "iu":
+        strings = _int_strings(a)
+    elif kind == "b":
+        strings = np.array(["false", "true"], dtype=object)[a.ravel().astype(np.intp)]
+    elif kind == "O":
+        strings = np.array(list(map(_json_scalar, a.ravel().tolist())), dtype=object)
+    else:
+        raise TypeError(f"Object of type ndarray with dtype {a.dtype} is not JSON serializable")
+    return strings.reshape(a.size, 1)
+
+
+def _array_template(dtype: np.dtype, shape: tuple, nl: str) -> str:
+    """%-template of json's indent-2 text of one value of `dtype` and array
+    shape `shape` whose first line sits at indent `nl`: one %s per string
+    `_leaf_strings` gives for it, record keys %-escaped."""
+    inner = nl + "  "
+    if shape:
+        if not shape[0]:
+            return "[]"
+        item = _array_template(dtype, shape[1:], inner)
+        return "[" + inner + ("," + inner).join([item] * shape[0]) + nl + "]"
+    if dtype.names is not None:
+        if not dtype.names:
+            return "{}"
+        fields = (_jstr(k).replace("%", "%%") + ": "
+                  + _array_template(dtype[k].base, dtype[k].shape, inner) for k in dtype.names)
+        return "{" + inner + ("," + inner).join(fields) + nl + "}"
+    if dtype.kind == "c":
+        return _array_template(np.dtype(float), (2,), nl)
+    return "%s"
+
+
+def _encode_array(a: np.ndarray, nl: str, out: list) -> None:
+    """Append json's indent-2 text of the lists (dicts, for records) the
+    ndarray `a` stands for: each item of its first axis is one %-template,
+    built once from the dtype and the item shape, and the items are joined
+    `_CHUNK` at a time."""
+    if a.ndim == 0:
+        out.append(_array_template(a.dtype, (), nl) % tuple(_leaf_strings(a)[0]))
+        return
+    if not len(a):
+        out.append("[]")
+        return
+    inner = nl + "  "
+    template = _array_template(a.dtype, a.shape[1:], inner)
+    columns = _leaf_strings(a).reshape(len(a), -1).T.tolist()
+    items = map(template.__mod__, zip(*columns)) if columns else iter([template % ()] * len(a))
+    sep = "," + inner
+    out.append("[" + inner)
+    for start in range(0, len(a), _CHUNK):
+        if start:
+            out.append(sep)
+        out.append(sep.join(islice(items, _CHUNK)))
+    out.append(nl + "]")
 
 
 def _encode(o, nl: str, out: list) -> None:
     """Append json's indent-2 text of `o`, whose first line sits at indent
-    `nl`, to `out` in pieces.  A non-empty list or dict is laid out here; any
-    other value, and any key that is not a str, is json's own text."""
-    if isinstance(o, (list, tuple)) and o:
+    `nl`, to `out` in pieces.  An ndarray, a non-empty list and a non-empty
+    dict are laid out here; any other value, and any key that is not a str,
+    is json's own text."""
+    if isinstance(o, np.ndarray):
+        _encode_array(o, nl, out)
+    elif isinstance(o, (list, tuple)) and o:
         inner = nl + "  "
-        sep = "," + inner
-        fast = _template(o, inner)
         out.append("[" + inner)
-        if fast is None or not fast[1]:
-            for i, v in enumerate(o):
-                if i:
-                    out.append(sep)
-                _encode(v, inner, out)
-        else:
-            template, columns = fast
-            floats = [i for i, c in enumerate(columns) if type(c[0]) is float]
-            if floats:
-                for i, reprs in zip(floats, _float_reprs([columns[i] for i in floats])):
-                    columns[i] = reprs
-            if template == "%s":
-                out.append(sep.join(columns[0]))
-            else:
-                out.append(sep.join(map(template.__mod__, zip(*columns))))
+        for i, v in enumerate(o):
+            if i:
+                out.append("," + inner)
+            _encode(v, inner, out)
         out.append(nl + "]")
     elif isinstance(o, dict) and o:
         inner = nl + "  "
@@ -374,14 +417,19 @@ def _report_pieces(report) -> list:
 
 
 def dumps_report(report) -> str:
-    """`json.dumps(report, indent=2)`, byte for byte, for JSON-native input.
+    """json's indent-2 text of `report`, with its numpy arrays written as the
+    lists they stand for: `json.dumps(report, indent=2)` byte for byte once
+    each array is its `tolist()`, a complex number its [re, im] pair and a
+    structured array its list of records as dicts.
 
     With `indent`, json falls back to its pure-Python encoder, one generator
-    step per value.  Here every list whose items share one shape (float runs,
-    matrix rows, [re, im] pairs, spectrum records) is written by one
-    %-template per item, built once from the shape; the floats of its float
-    columns go through one repr table, one `float.__repr__` per distinct
-    magnitude.  The rest follows json's own rules.
+    step per value.  Here each array is written with one %-template per item
+    of its first axis (a matrix row, a spectrum record), built once from its
+    dtype and item shape.  Its floats go through one repr table, one
+    `float.__repr__` per distinct magnitude; its small non-negative ints
+    through one string table; the elements of an object array (ints past
+    int64) through json one at a time, so a numpy scalar among them is
+    rejected as json rejects it.  The rest follows json's own rules.
     """
     return "".join(_report_pieces(report))
 
@@ -396,31 +444,31 @@ def write_report(report, fh) -> None:
     fh.writelines(pieces)
 
 
-def _fmt_c(pair) -> str:
-    re, im = pair
-    if im == 0:
-        return f"{re:+.6g}"
-    return f"{re:+.6g}{im:+.6g}i"
+def _fmt_c(z: complex) -> str:
+    if z.imag == 0:
+        return f"{z.real:+.6g}"
+    return f"{z.real:+.6g}{z.imag:+.6g}i"
 
 
-def _fmt_matrix(rows, complex_entries: bool) -> list[str]:
-    if complex_entries:
-        cells = [[_fmt_c(v) for v in row] for row in rows]
+def _fmt_matrix(m: np.ndarray) -> list[str]:
+    if m.dtype.kind == "c":
+        cells = [[_fmt_c(v) for v in row] for row in m.tolist()]
     else:
-        cells = [[f"{v:+.6g}" for v in row] for row in rows]
+        cells = [[f"{v:+.6g}" for v in row] for row in m.tolist()]
     width = max((len(c) for row in cells for c in row), default=1)
     return ["  ".join(c.rjust(width) for c in row) for row in cells]
 
 
 def render_text(report: dict) -> str:
-    """Aligned plain-text tables for terminal output."""
+    """Aligned plain-text tables for terminal output, from `build_report`'s
+    report."""
     out = []
     n = report["input"]["n"]
     out.append(f"quadratic Lindblad model: n = {n} fermions, "
                f"{len(report['input']['lindblad'])} bath vector(s)")
     out.append("")
     out.append("X = 2K + 2M_r:")
-    out.extend("  " + line for line in _fmt_matrix(report["X"], False))
+    out.extend("  " + line for line in _fmt_matrix(report["X"]))
     out.append("")
     out.append("rapidities (eigenvalues of X):")
     out.append(f"  {'j':>3} {'Re beta':>14} {'Im beta':>14}  {'class':<10} blocks")
@@ -440,7 +488,7 @@ def render_text(report: dict) -> str:
     d = report["driving"]
     out.append(f"driving solution Z ({d['method']} path, residual {d['residual']:.2e}, "
                f"unique={d['unique']}, free parameters={d['free_parameter_count']}):")
-    out.extend("  " + line for line in _fmt_matrix(d["Z"], False))
+    out.extend("  " + line for line in _fmt_matrix(d["Z"]))
     out.append("")
     ns = report["ness"]
     out.append(f"NESS: unique={ns['unique']}, stationary dimension {ns['stationary_dim']}, "
@@ -452,29 +500,32 @@ def render_text(report: dict) -> str:
     out.append(f"  covariance unique: {ns['covariance_unique']}, "
                f"physicality margin |4Z| = {ns['physicality_margin']:.6g}")
     out.append("  covariance C = 1 + 4i Z^T:")
-    out.extend("    " + line for line in _fmt_matrix(ns["covariance"], True))
+    out.extend("    " + line for line in _fmt_matrix(ns["covariance"]))
     out.append("")
     sp = report["spectrum"]
     if sp.get("enumerated"):
         out.append(f"Liouvillean spectrum: {sp['count']} occupation vectors, "
                    f"total dimension {sp['total_dim']} (merged view):")
         out.append(f"  {'Re lambda':>14} {'Im lambda':>14} {'dim':>5} {'maxblk':>6}")
-        out.extend(
-            "  %14.8g %14.8g %5d %5d%s" % (*e["lambda"], e["total_dim"], e["max_jordan_block"],
-                                          "*" if e["lower_bound"] else " ")
-            for e in sp["merged"]
-        )
+        merged = sp["merged"]
+        out.extend(map("  %14.8g %14.8g %5d %5d%s".__mod__, zip(
+            *merged["lambda"].T.tolist(),
+            merged["total_dim"].tolist(),
+            merged["max_jordan_block"].tolist(),
+            np.where(merged["lower_bound"], "*", " ").tolist(),
+        )))
         if "entries" in sp:
             out.append("  full listing (occupation -> lambda, dim, maxblk):")
-            rows = {}  # one template per occupation length
-            for e in sp["entries"]:
-                occ = e["occupation"]
-                row = rows.get(len(occ))
-                if row is None:
-                    row = rows[len(occ)] = ("    %+.8g%+.8gi  dim %d blk %d  "
-                                            + " ".join(["(%d,%d)=%d"] * len(occ)))
-                out.append(row % (*e["lambda"], e["subspace_dim"], e["max_jordan_block"],
-                                  *chain.from_iterable(occ)))
+            entries = sp["entries"]
+            occupation = entries["occupation"]
+            row = ("    %+.8g%+.8gi  dim %d blk %d  "
+                   + " ".join(["(%d,%d)=%d"] * occupation.shape[1]))
+            out.extend(map(row.__mod__, zip(
+                *entries["lambda"].T.tolist(),
+                entries["subspace_dim"].tolist(),
+                entries["max_jordan_block"].tolist(),
+                *occupation.reshape(len(entries), -1).T.tolist(),
+            )))
     else:
         full_re, _ = sp["extremes"]["lambda_full"]
         out.append("Liouvillean spectrum: not enumerated (occupation count over limit); "

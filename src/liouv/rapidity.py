@@ -233,9 +233,11 @@ def _certified_singletons(
         sep = _distances(w)
         np.fill_diagonal(sep, np.inf)
         lower = sep.min(axis=1) / np.linalg.cond(V) - E
-    thr_lo = tol_rank * max(x_norm, 1e-300)
-    thr_hi = tol_rank * (x_norm + np.abs(w))
-    return (residual < thr_lo / 10) & (lower > 10 * thr_hi)
+        thr_lo = tol_rank * max(x_norm, 1e-300)
+        # near the float maximum x_norm + |w| overflows: an infinite bound
+        # certifies nothing, and the staircase decides
+        thr_hi = tol_rank * (x_norm + np.abs(w))
+        return (residual < thr_lo / 10) & (lower > 10 * thr_hi)
 
 
 def jordan_decompose(

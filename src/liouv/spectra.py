@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SpectrumTooLarge
+from .model import _finite
 from .rapidity import JordanForm, StabilityReport, complex_abs, spectral_gap
 from .tolerances import DEFAULTS
 
@@ -144,7 +145,9 @@ def enumerate_spectrum(
     """All occupation vectors, sorted by (Re, Im, occupation), plus a merged view.
 
     Raises SpectrumTooLarge when prod(l_{j,k}+1) exceeds `limit`; the gap and
-    stationary dimension remain available without full enumeration.
+    stationary dimension remain available without full enumeration.  Raises
+    InputError when an eigenvalue or a merged mean overflows, as it can for a
+    model near the float maximum.
     """
     blocks = jf.blocks
     shape = tuple(b.size + 1 for b in blocks)
@@ -161,13 +164,18 @@ def enumerate_spectrum(
     lam = np.zeros((), complex)
     dim = np.ones((), int_type)
     blk = np.ones((), np.int64)
-    for b in blocks:
-        m = np.arange(b.size + 1)
-        comb = np.array([math.comb(b.size, k) for k in range(b.size + 1)], dtype=int_type)
-        lam = lam[..., None] + m * complex(b.rapidity)
-        dim = dim[..., None] * comb
-        blk = blk[..., None] + (b.size - m) * m
-    lam = -2 * lam.ravel()
+    # near the float maximum finite rapidities can have sums that overflow;
+    # they are refused here, before any output
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in blocks:
+            m = np.arange(b.size + 1)
+            comb = np.array([math.comb(b.size, k) for k in range(b.size + 1)], dtype=int_type)
+            lam = lam[..., None] + m * complex(b.rapidity)
+            dim = dim[..., None] * comb
+            blk = blk[..., None] + (b.size - m) * m
+        lam = -2 * lam.ravel()
+        scale = float(complex_abs(lam).max(initial=0.0))
+    _finite("the many-body eigenvalue lambda = -2 sum m beta", scale)
     # lexsort is stable, so ties keep grid order, which is occupation order
     order = np.lexsort((lam.imag, lam.real))
     lam = lam[order]
@@ -177,12 +185,15 @@ def enumerate_spectrum(
     if total != 2**n2:
         raise AssertionError("dimension sum rule violated")  # unreachable
 
-    scale = float(complex_abs(lam).max(initial=0.0))
     tol = tol_merge * max(scale, np.finfo(float).tiny)
-    starts = np.flatnonzero(np.concatenate(([True], complex_abs(np.diff(lam)) > tol)))
-    ends = np.append(starts[1:], len(lam))
-    merged_dim = np.add.reduceat(dim, starts)
-    merged_lam = _weighted_means(lam, dim, starts, ends, merged_dim)
+    # a difference past the float maximum is an infinite gap, which splits;
+    # a weighted mean that overflows is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        starts = np.flatnonzero(np.concatenate(([True], complex_abs(np.diff(lam)) > tol)))
+        ends = np.append(starts[1:], len(lam))
+        merged_dim = np.add.reduceat(dim, starts)
+        merged_lam = _weighted_means(lam, dim, starts, ends, merged_dim)
+    _finite("a merged eigenvalue (dimension-weighted mean)", merged_lam)
     return SpectrumEnumeration(
         labels=tuple((b.j, b.k) for b in blocks),
         shape=shape,

@@ -13,6 +13,25 @@ from liouv.model import (
 )
 
 GAMMA1, GAMMA2, J_COUPLING = 0.3, 0.5, 0.7
+
+
+def json_native(o):
+    """`default=` hook for json.dumps that writes a report's numpy arrays as
+    the lists they stand for: a plain array as its `tolist()`, a complex one
+    as [re, im] pairs, a structured one as a list of dicts, one key per field
+    (a 0-d record is one dict).  Anything else raises TypeError, as json's
+    own default does."""
+    if not isinstance(o, np.ndarray):
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    if o.dtype.names is not None:
+        if o.ndim:
+            return [o[i, ...] for i in range(len(o))]
+        return {name: o[name] for name in o.dtype.names}
+    if o.dtype.kind == "c":
+        return np.stack([o.real, o.imag], -1).tolist()
+    if o.dtype.kind in "biufO":
+        return o.tolist()
+    raise TypeError(f"Object of type ndarray with dtype {o.dtype} is not JSON serializable")
 GAMMA_P = GAMMA2 + GAMMA1
 GAMMA_M = GAMMA2 - GAMMA1
 

@@ -14,6 +14,7 @@ from itertools import islice
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import liouv.cli
 import liouv.lyapunov
@@ -26,7 +27,7 @@ from liouv.model import validate_model
 from liouv.randmodel import random_axis_model, random_model
 from liouv.tolerances import Tolerances
 
-from conftest import critical_plus_decoupled, planted_model, seventy_block_result
+from conftest import critical_plus_decoupled, json_native, planted_model, seventy_block_result
 
 MODELS = files("liouv") / "models"
 # thresholds that left Tolerances: tol_lyap went with the Lyapunov path choice,
@@ -149,10 +150,20 @@ def test_analyze_non_finite_model_exit_2(tmp_path):
     assert main(["analyze", str(bad)]) == 2
 
 
+def near_maximum_model(exponent):
+    """random_model(2, 1) with its Lindblad vectors scaled by 10^exponent."""
+    model = random_model(2, 1)
+    return validate_model(2, model.K, [v * 10.0**exponent for v in model.lindblad_vectors])
+
+
 OVERFLOW_MODELS = {
     "M": '{"n": 1, "K": [[0, 0], [0, 0]], "lindblad": [[1e200, 0]]}',
     "K_and_M": '{"n": 1, "K": [[0, 1e308], [-1e308, 0]], "lindblad": [[1e308, 0]]}',
     "K": '{"n": 1, "K": [[0, 1e308], [-1e308, 0]], "lindblad": []}',
+    # X and A_0 finite; the many-body eigenvalues, or on the way to them the
+    # singleton certificate's bound ||X|| + |w|, overflow
+    "lambda_153.35": json.dumps(model_to_dict(near_maximum_model(153.35))),
+    "lambda_153.45": json.dumps(model_to_dict(near_maximum_model(153.45))),
 }
 
 
@@ -171,15 +182,14 @@ def test_overflowing_model_exit_2(tmp_path, capsys, command, name):
 
 
 @pytest.mark.parametrize("exponent, quantity", [
-    (153.55, "A_0 = tr X"), (153.75, "X = 2K"), (154, "bath matrix M"), (307, "bath matrix M"),
+    (153.35, "eigenvalue lambda"), (153.45, "eigenvalue lambda"), (153.55, "A_0 = tr X"),
+    (153.75, "X = 2K"), (154, "bath matrix M"), (307, "bath matrix M"),
 ])
 def test_overflowing_derived_matrix_is_an_input_error(exponent, quantity):
     """random_model(2, 1) with its Lindblad vectors scaled by 10^exponent: the
     first derived quantity that overflows is named."""
-    model = random_model(2, 1)
-    scaled = validate_model(2, model.K, [v * 10.0**exponent for v in model.lindblad_vectors])
     with pytest.raises(InputError, match=f"{re.escape(quantity)}.* overflows"):
-        analyze(scaled)
+        analyze(near_maximum_model(exponent))
 
 
 def test_analyze_parse_error_has_field(tmp_path):
@@ -633,11 +643,12 @@ def test_analyze_unwritable_output_exit_2(tmp_path, capsys):
 
 
 def _json_sha256(report) -> str:
-    """sha256 of `json.dumps(report, indent=2) + "\\n"`, hashed from json's own
-    indent-2 chunks in batches instead of from the joined text (the 98 MB
-    random8 full listing would take several hundred MB as one string)."""
+    """sha256 of `json.dumps(report, indent=2, default=json_native) + "\\n"`,
+    hashed from json's own indent-2 chunks in batches instead of from the
+    joined text (the 98 MB random8 full listing would take several hundred MB
+    as one string)."""
     digest = hashlib.sha256()
-    chunks = json.JSONEncoder(indent=2).iterencode(report)
+    chunks = json.JSONEncoder(indent=2, default=json_native).iterencode(report)
     while batch := "".join(islice(chunks, 1 << 16)):
         digest.update(batch.encode())
     digest.update(b"\n")
@@ -671,7 +682,12 @@ def test_encode_error_leaves_an_existing_output_file_untouched(tmp_path, monkeyp
 
     def unencodable(*args, **kwargs):
         report = real_build_report(*args, **kwargs)
-        report["spectrum"]["merged"][-1]["total_dim"] = np.int64(1)
+        # an object field's elements are written one by one, as json writes them
+        merged = report["spectrum"]["merged"]
+        merged = merged.astype([(k, object if k == "total_dim" else merged.dtype[k])
+                                for k in merged.dtype.names])
+        merged["total_dim"][-1] = np.int64(1)
+        report["spectrum"]["merged"] = merged
         return report
 
     monkeypatch.setattr(liouv.cli, "build_report", unencodable)
@@ -685,7 +701,9 @@ def test_encode_error_leaves_an_existing_output_file_untouched(tmp_path, monkeyp
 
 def _spectrum_rows_reference(sp) -> list[str]:
     """render_text's spectrum rows as one f-string each, the renderer the
-    %-templates replaced, kept as the reference."""
+    %-templates replaced, kept as the reference; it reads the records as the
+    dicts the report's structured arrays stand for."""
+    sp = json.loads(json.dumps(sp, default=json_native))
     out = []
     for e in sp["merged"]:
         re, im = e["lambda"]
@@ -703,12 +721,16 @@ def _spectrum_rows_reference(sp) -> list[str]:
 
 
 def _edge_lambdas(report):
-    """The report with its eigenvalue coordinates replaced by edge floats."""
-    edges = [-0.0, 0.0, 5e-324, -1.7976931348623157e308, 0.30000000000000004,
-             -123456789.123456789, 1e-7, math.nan, math.inf, -math.inf]
+    """The report with the `lambda` field of its merged records, then of its
+    entries, set to edge floats."""
+    edges = np.array([-0.0, 0.0, 5e-324, -1.7976931348623157e308, 0.30000000000000004,
+                      -123456789.123456789, 1e-7, math.nan, math.inf, -math.inf])
     sp = report["spectrum"]
-    for i, e in enumerate(sp["merged"] + sp.get("entries", [])):
-        e["lambda"] = [edges[i % len(edges)], edges[(3 * i + 1) % len(edges)]]
+    start = 0
+    for records in (sp[key] for key in ("merged", "entries") if key in sp):
+        i = np.arange(start, start + len(records))
+        records["lambda"] = np.stack([edges[i % len(edges)], edges[(3 * i + 1) % len(edges)]], -1)
+        start += len(records)
     return report
 
 
@@ -821,14 +843,14 @@ def test_report_matrices_match_element_loop():
         ("driving", "Z"): rmat(result.driving.Z),
         ("ness", "covariance"): cmat(result.ness.covariance),
     }
-    assert "-0.0" in json.dumps(report["input"])
-    assert json.dumps(report["X"]) == json.dumps(rmat(result.X))
+    assert "-0.0" in json.dumps(report["input"], default=json_native)
+    assert json.dumps(report["X"], default=json_native) == json.dumps(rmat(result.X))
     for (section, key), ref in expected.items():
-        assert json.dumps(report[section][key]) == json.dumps(ref), key
+        assert json.dumps(report[section][key], default=json_native) == json.dumps(ref), key
 
 
 def assert_dumps_like_json(report):
-    assert dumps_report(report) == json.dumps(report, indent=2)
+    assert dumps_report(report) == json.dumps(report, indent=2, default=json_native)
 
 
 @pytest.mark.parametrize("name", ["single_qubit.json", "ising_pair.json", "ising_chain_3.json"])
@@ -838,7 +860,7 @@ def test_analyze_json_is_json_dumps_indent_2(capsys, name, full):
     assert main(argv) == 0
     model, tolerances = load_model(model_path(name))
     report = build_report(analyze(model, tolerances), full_spectrum=full)
-    assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+    assert capsys.readouterr().out == json.dumps(report, indent=2, default=json_native) + "\n"
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -928,9 +950,76 @@ def test_dumps_report_matches_json_on_repeated_floats(columns):
     assert written.getvalue() == json.dumps(columns, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("bad", [{"a": np.int64(1)}, [np.bool_(True)], {(1, 2): 0}, [{1, 2}]])
+@pytest.mark.parametrize("bad", [
+    {"a": np.int64(1)}, [np.bool_(True)], {(1, 2): 0}, [{1, 2}],
+    [np.array([1, np.int64(2)], dtype=object)], {"a": np.array(["x"])},
+])
 def test_dumps_report_rejects_what_json_rejects(bad):
     with pytest.raises(TypeError):
-        json.dumps(bad, indent=2)
+        json.dumps(bad, indent=2, default=json_native)
     with pytest.raises(TypeError):
         dumps_report(bad)
+
+
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4) | st.sampled_from(
+    [(0, 4), (4, 0), (2, 0, 3)])
+_FLOAT64S = st.floats() | st.sampled_from(_EDGE_FLOATS + _SEVENTEEN_DIGITS + [-math.nan])
+_INT64S = (st.integers(-(2**63), 2**63 - 1) | st.integers(-3, 3)
+           | st.integers(4090, 4100) | st.integers(0, 4096))
+
+
+@st.composite
+def _record_arrays(draw):
+    """Structured arrays shaped like the spectrum's records: a (2,) float
+    field, an (L, 3) int field, an object field of ints past int64, a bool
+    and a complex field; one axis of records, or two, one of them empty."""
+    count, width = draw(st.integers(0, 5)), draw(st.integers(0, 3))
+    records = np.empty(count, [("lambda", float, 2), ("occupation", np.int64, (width, 3)),
+                               ("dim%s", object), ("lower_bound", bool), ("z", complex)])
+    for name, dtype, elements in (("lambda", np.float64, _FLOAT64S),
+                                  ("occupation", np.int64, _INT64S),
+                                  ("lower_bound", np.bool_, st.booleans()),
+                                  ("z", np.complex128, st.complex_numbers())):
+        records[name] = draw(hnp.arrays(dtype, records[name].shape, elements=elements))
+    records["dim%s"] = draw(st.lists(_INTS, min_size=count, max_size=count)) or 0
+    return draw(st.sampled_from([records, records[:, None], records[None], records[:, None][:, :0]]))
+
+
+_ARRAYS = st.one_of(
+    hnp.arrays(np.float64, _SHAPES, elements=_FLOAT64S),
+    hnp.arrays(np.complex128, _SHAPES, elements=st.complex_numbers() | st.builds(
+        complex, st.sampled_from(_EDGE_FLOATS), st.sampled_from(_EDGE_FLOATS))),
+    hnp.arrays(np.int64, _SHAPES, elements=_INT64S),
+    hnp.arrays(np.bool_, _SHAPES),
+    st.lists(_INTS, max_size=5).map(lambda xs: np.array(xs, dtype=object)),
+    _record_arrays(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_ARRAYS | _SCALARS, lambda children: st.lists(children, max_size=3)
+                    | st.dictionaries(_KEYS, children, max_size=3), max_leaves=8))
+def test_dumps_report_matches_json_on_array_leaves(tree):
+    """Array leaves are written as json writes the lists json_native makes of
+    them: plain, complex as [re, im], structured as dicts."""
+    assert_dumps_like_json(tree)
+
+
+def test_report_arrays_are_copies_of_the_result():
+    """Writing to every array of a report leaves the analysis result, and so
+    the next report built from it, as it was."""
+    result = analyze(critical_plus_decoupled(2, 1, 0.7, 1))
+    expected = dumps_report(build_report(result, full_spectrum=True))
+
+    def overwrite(node):
+        if isinstance(node, np.ndarray):
+            for field in node.dtype.names or [None]:
+                (node if field is None else node[field])[...] = 7
+        elif isinstance(node, dict):
+            for v in node.values():
+                overwrite(v)
+
+    report = build_report(result, full_spectrum=True)
+    overwrite(report)
+    assert dumps_report(report) != expected
+    assert dumps_report(build_report(result, full_spectrum=True)) == expected

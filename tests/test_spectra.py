@@ -26,6 +26,7 @@ from conftest import (
     J_COUPLING,
     critical_plus_decoupled,
     ising_pair_model,
+    json_native,
     seventy_block_result,
     single_qubit_model,
 )
@@ -381,7 +382,8 @@ def test_dimensions_past_int64_stay_exact():
     assert all(type(e.total_dim) is int for e in spec.merged)
     assert sum(e.total_dim for e in spec.merged) == 2**70
 
-    report = json.loads(json.dumps(build_report(result, full_spectrum=True)))["spectrum"]
+    report = json.loads(json.dumps(build_report(result, full_spectrum=True),
+                                   default=json_native))["spectrum"]
     # json writes a float dimension with an exponent and reads it back as a float
     assert type(report["total_dim"]) is int and report["total_dim"] == 2**70
     assert all(type(e["total_dim"]) is int for e in report["merged"])
